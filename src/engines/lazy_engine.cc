@@ -115,6 +115,17 @@ std::optional<std::string> LazySubplanSignature(
   return sig;
 }
 
+/// Background ingest: a file-backed stream parses/decodes ahead of compute
+/// on a dedicated producer thread whenever the pipeline asks for readahead.
+std::unique_ptr<ChunkStream> WithPrefetch(std::unique_ptr<ChunkStream> s,
+                                          const PipelineOptions& pipe) {
+  if (pipe.prefetch_depth > 0) {
+    s = std::make_unique<PrefetchChunkStream>(std::move(s),
+                                              pipe.prefetch_depth);
+  }
+  return s;
+}
+
 }  // namespace
 
 plan::OptimizerPolicy LazyEngineBase::PlanPolicy() const {
@@ -146,7 +157,8 @@ std::vector<Op> LazyEngineBase::Optimize(std::vector<Op> ops) const {
 }
 
 Result<std::unique_ptr<ChunkStream>> LazyEngineBase::OpenStream(
-    const LazySource& source, const ScanSpec& scan) const {
+    const LazySource& source, const ScanSpec& scan,
+    const PipelineOptions& pipe) const {
   switch (source.kind) {
     case LazySource::Kind::kTable: {
       col::TablePtr table = source.table;
@@ -165,7 +177,7 @@ Result<std::unique_ptr<ChunkStream>> LazyEngineBase::OpenStream(
                                   scan.drop_columns.end());
       BENTO_ASSIGN_OR_RETURN(auto stream,
                              CsvChunkStream::Open(source.path, options));
-      return std::unique_ptr<ChunkStream>(std::move(stream));
+      return WithPrefetch(std::move(stream), pipe);
     }
     case LazySource::Kind::kBcf: {
       std::vector<std::string> keep;
@@ -197,51 +209,11 @@ Result<std::unique_ptr<ChunkStream>> LazyEngineBase::OpenStream(
       BENTO_ASSIGN_OR_RETURN(
           auto stream, BcfChunkStream::Open(source.path, std::move(keep),
                                             scan.predicates, ropts));
-      return std::unique_ptr<ChunkStream>(std::move(stream));
+      return WithPrefetch(std::move(stream), pipe);
     }
   }
   return Status::Invalid("bad source");
 }
-
-namespace {
-
-/// Applies a run of streamable ops to every chunk of an inner stream.
-class TransformingStream : public ChunkStream {
- public:
-  TransformingStream(ChunkStream* inner, const Op* ops, size_t n_ops,
-                     const ExecPolicy* policy, double per_chunk_penalty)
-      : inner_(inner),
-        ops_(ops),
-        n_ops_(n_ops),
-        policy_(policy),
-        per_chunk_penalty_(per_chunk_penalty) {}
-
-  Result<col::TablePtr> Next() override {
-    BENTO_ASSIGN_OR_RETURN(auto chunk, inner_->Next());
-    if (chunk == nullptr) return chunk;
-    static obs::Counter* chunks =
-        obs::MetricsRegistry::Global().counter("lazy.stream_chunks");
-    chunks->Increment();
-    static obs::Counter* rows =
-        obs::MetricsRegistry::Global().counter("lazy.stream_rows");
-    rows->Add(static_cast<uint64_t>(chunk->num_rows()));
-    for (size_t k = 0; k < n_ops_; ++k) {
-      BENTO_ASSIGN_OR_RETURN(chunk,
-                             frame::ExecTransform(chunk, ops_[k], *policy_));
-    }
-    if (per_chunk_penalty_ > 0) sim::ChargePenalty(per_chunk_penalty_);
-    return chunk;
-  }
-
- private:
-  ChunkStream* inner_;
-  const Op* ops_;
-  size_t n_ops_;
-  const ExecPolicy* policy_;
-  double per_chunk_penalty_;
-};
-
-}  // namespace
 
 namespace {
 
@@ -274,10 +246,6 @@ bool MemoryTight(const LazySource& source) {
   return EstimateSourceBytes(source) * 5 > budget;
 }
 
-}  // namespace
-
-namespace {
-
 /// Owns a spill file produced mid-plan and removes it when done.
 struct TempSpill {
   std::string path;
@@ -285,6 +253,63 @@ struct TempSpill {
     if (!path.empty()) std::remove(path.c_str());
   }
 };
+
+/// Kernel policy for work running ON pipeline workers. With several workers
+/// each one owns a whole chunk, so the per-kernel morsel fan-out is switched
+/// off — chunk-level parallelism replaces it; nesting both would
+/// oversubscribe the machine. Kernels invoked from the consumer thread
+/// (breaker merges, whole-table tail ops, action folds) keep the full policy.
+ExecPolicy WorkerPolicy(ExecPolicy policy, const PipelineOptions& pipe) {
+  if (pipe.parallel()) policy.parallel = false;
+  return policy;
+}
+
+/// The streamable run ops[0, n) as one pure per-chunk map. A breaker's
+/// residual map (two-pass encode, probe-side join), when carried, runs first
+/// so that work rides the same pipeline workers.
+ChunkMapFn RunMap(const Op* ops, size_t n, const ExecPolicy* policy,
+                  ChunkMapFn carried) {
+  return [ops, n, policy, carried = std::move(carried)](
+             col::TablePtr chunk) -> Result<col::TablePtr> {
+    static obs::Counter* chunks =
+        obs::MetricsRegistry::Global().counter("lazy.stream_chunks");
+    chunks->Increment();
+    static obs::Counter* rows =
+        obs::MetricsRegistry::Global().counter("lazy.stream_rows");
+    rows->Add(static_cast<uint64_t>(chunk->num_rows()));
+    if (carried) {
+      BENTO_ASSIGN_OR_RETURN(chunk, carried(std::move(chunk)));
+    }
+    for (size_t k = 0; k < n; ++k) {
+      BENTO_ASSIGN_OR_RETURN(chunk,
+                             frame::ExecTransform(chunk, ops[k], *policy));
+    }
+    return chunk;
+  };
+}
+
+/// The one place a transform run becomes a stream: a ParallelPipelineDriver
+/// stage over `input`. At one worker the driver runs claim + map inline on
+/// the calling thread, so the serial streaming loop is this stage's
+/// degenerate case rather than a separate code path.
+std::unique_ptr<ParallelPipelineDriver> TransformStage(
+    ChunkStream* input, ChunkMapFn map, const PipelineOptions& pipe) {
+  return std::make_unique<ParallelPipelineDriver>(
+      input,
+      [map = std::move(map)](col::TablePtr chunk, int64_t) {
+        return map(std::move(chunk));
+      },
+      pipe);
+}
+
+/// Charges a finished stage's per-chunk modeled overhead in one step from
+/// the consumer thread (session clocks are consumer-thread state, which
+/// pipeline workers cannot touch).
+void ChargeChunks(double penalty, int64_t chunks) {
+  if (penalty > 0 && chunks > 0) {
+    sim::ChargePenalty(penalty * static_cast<double>(chunks));
+  }
+}
 
 }  // namespace
 
@@ -295,16 +320,11 @@ Result<col::TablePtr> LazyEngineBase::Execute(
   std::vector<Op> ops = Optimize(plan);
   const ExecPolicy policy = ExecutionPolicy();
 
-  // Morsel-driven pipeline shape for this execution (serial unless the
-  // engine runs chunk-parallel kernels AND real execution is engaged). In
-  // parallel mode every pipeline worker owns a whole chunk, so the
-  // per-kernel morsel fan-out is switched off for work running ON workers —
-  // chunk-level parallelism replaces it; nesting both would oversubscribe
-  // the machine. Kernels invoked from the consumer thread (breaker merges,
-  // whole-table tail ops) keep the full policy.
+  // Morsel-driven pipeline shape for this execution: one inline worker
+  // unless the engine runs chunk-parallel kernels, then N real or modeled
+  // workers. Every streamable run below is one stage of it either way.
   const PipelineOptions pipe = ResolvePipelineOptions(policy);
-  ExecPolicy worker_policy = policy;
-  if (pipe.parallel()) worker_policy.parallel = false;
+  const ExecPolicy worker_policy = WorkerPolicy(policy, pipe);
 
   // Bind the plan's leading ops into the physical scan: a leading drop
   // becomes a column-skipping read (the scan never materializes those
@@ -343,21 +363,7 @@ Result<col::TablePtr> LazyEngineBase::Execute(
     return source.table;
   }
 
-  BENTO_ASSIGN_OR_RETURN(auto stream, OpenStream(source, scan));
-
-  // Background ingest: file-backed sources parse/decode ahead of compute on
-  // a dedicated producer thread (in-memory tables chunk into zero-copy
-  // slices; buffering views would add nothing).
-  auto wrap_prefetch = [&pipe](std::unique_ptr<ChunkStream> s) {
-    if (pipe.parallel() && pipe.prefetch_depth > 0) {
-      s = std::make_unique<PrefetchChunkStream>(std::move(s),
-                                                pipe.prefetch_depth);
-    }
-    return s;
-  };
-  if (source.kind != LazySource::Kind::kTable) {
-    stream = wrap_prefetch(std::move(stream));
-  }
+  BENTO_ASSIGN_OR_RETURN(auto stream, OpenStream(source, scan, pipe));
 
   const bool stream_breakers = StreamsBreakers() && MemoryTight(source);
 
@@ -367,23 +373,17 @@ Result<col::TablePtr> LazyEngineBase::Execute(
   // nothing while resident (the Vaex memory-mapped frame / Spark on-disk
   // stage-output model).
   auto drain = [&](ChunkStream* s) -> Result<col::TablePtr> {
-    if (stream_breakers) {
-      sim::Session* session = sim::Session::Current();
-      const uint64_t headroom =
-          session != nullptr ? session->host_pool()->HeadroomBytes()
-                             : UINT64_MAX;
-      if (headroom != UINT64_MAX) {
-        // The pipeline's worker budget also governs the materializer's
-        // compaction pass, so the 1-vs-N worker A/B covers the whole drain.
-        MaterializeOptions mat;
-        if (pipe.parallel()) {
-          mat.compact_workers = pipe.workers;
-          mat.parallel_options = policy.parallel_options;
-        }
-        return MaterializeStreamMapped(s, headroom / 4, mat);
-      }
-    }
-    return DrainStream(s);
+    sim::Session* session = sim::Session::Current();
+    const uint64_t headroom = session != nullptr
+                                  ? session->host_pool()->HeadroomBytes()
+                                  : UINT64_MAX;
+    if (!stream_breakers || headroom == UINT64_MAX) return DrainStream(s);
+    // The pipeline's worker budget also governs the materializer's
+    // compaction pass, so the 1-vs-N worker A/B covers the whole drain.
+    MaterializeOptions mat;
+    mat.compact_workers = pipe.workers;
+    mat.parallel_options = policy.parallel_options;
+    return MaterializeStreamMapped(s, headroom / 4, mat);
   };
 
   // Streaming loop: breakers either stream (bounded memory) and hand the
@@ -391,166 +391,108 @@ Result<col::TablePtr> LazyEngineBase::Execute(
   col::TablePtr current;          // set when the plan ends or must materialize
   col::TablePtr stage_table;      // keep-alive for TableChunkStream sources
   std::vector<std::shared_ptr<TempSpill>> spills;
+  // A breaker's residual per-chunk map (two-pass encode, probe-side join),
+  // carried into the next stage's map instead of wrapping the stream.
+  ChunkMapFn pending_map;
   size_t i = start;
 
-  // A breaker's residual per-chunk map (two-pass encode, probe-side join):
-  // in parallel mode it is carried into the NEXT stage's worker map instead
-  // of wrapping the stream, so the encode/probe work runs on all pipeline
-  // workers rather than serially inside the next stage's chunk claim.
-  MappedStream::MapFn pending_map;
+  // Continues the plan from a breaker's in-memory output.
+  auto resume_from_table = [&](col::TablePtr table) {
+    stage_table = std::move(table);
+    stream = std::make_unique<TableChunkStream>(stage_table, ChunkRows());
+  };
+  // Continues the plan from a spilled BCF run; `map` (if any) heads the
+  // next stage.
+  auto resume_from_file = [&](const std::string& path,
+                              ChunkMapFn map) -> Status {
+    BENTO_ASSIGN_OR_RETURN(auto next, BcfChunkStream::Open(path));
+    stream = WithPrefetch(std::move(next), pipe);
+    pending_map = std::move(map);
+    return Status::OK();
+  };
 
   while (current == nullptr) {
     // Maximal streamable run [i, j).
     size_t j = i;
     while (j < ops.size() && IsStreamable(ops[j])) ++j;
-
-    // The run as a pure per-chunk map (parallel mode). Counters mirror the
-    // serial TransformingStream; the per-chunk virtual-time overhead is
-    // charged by the consumer thread once the stage's chunk count is known
-    // (session clocks are consumer-thread state).
-    MappedStream::MapFn chunk_map;
-    if (pipe.parallel()) {
-      chunk_map = [run_ops = ops.data() + i, n_run = j - i, &worker_policy,
-                   carried = std::move(pending_map)](
-                      col::TablePtr chunk) -> Result<col::TablePtr> {
-        static obs::Counter* chunks =
-            obs::MetricsRegistry::Global().counter("lazy.stream_chunks");
-        chunks->Increment();
-        static obs::Counter* rows =
-            obs::MetricsRegistry::Global().counter("lazy.stream_rows");
-        rows->Add(static_cast<uint64_t>(chunk->num_rows()));
-        if (carried) {
-          BENTO_ASSIGN_OR_RETURN(chunk, carried(std::move(chunk)));
-        }
-        for (size_t k = 0; k < n_run; ++k) {
-          BENTO_ASSIGN_OR_RETURN(
-              chunk, frame::ExecTransform(chunk, run_ops[k], worker_policy));
-        }
-        return chunk;
-      };
-      pending_map = nullptr;  // consumed (moved-from) by this stage's map
-    }
+    const ChunkMapFn chunk_map =
+        RunMap(ops.data() + i, j - i, &worker_policy, std::move(pending_map));
+    pending_map = nullptr;
 
     // A breaker with its own pipelined fold takes the raw stream plus the
     // run as a fused pre-map: transforms and partial aggregation ride ONE
-    // parallel stage instead of nesting two drivers (whose workers would
-    // otherwise steal chunks from each other).
-    const bool fuse_into_breaker =
-        pipe.parallel() && stream_breakers && j < ops.size() &&
+    // stage instead of nesting two drivers (whose workers would otherwise
+    // steal chunks from each other).
+    if (stream_breakers && j < ops.size() &&
         (ops[j].kind == OpKind::kGroupByAgg || ops[j].kind == OpKind::kPivot ||
-         ops[j].kind == OpKind::kDropDuplicates);
-
-    std::unique_ptr<TransformingStream> transformed;
-    std::unique_ptr<ParallelPipelineDriver> par_stage;
-    ChunkStream* run_stream = stream.get();
-    if (!fuse_into_breaker) {
-      if (pipe.parallel()) {
-        par_stage = std::make_unique<ParallelPipelineDriver>(
-            stream.get(),
-            [chunk_map](col::TablePtr chunk, int64_t) {
-              return chunk_map(std::move(chunk));
-            },
-            pipe);
-        run_stream = par_stage.get();
-      } else {
-        transformed = std::make_unique<TransformingStream>(
-            stream.get(), ops.data() + i, j - i, &policy,
-            PerChunkOverheadSeconds());
-        run_stream = transformed.get();
-      }
+         ops[j].kind == OpKind::kDropDuplicates)) {
+      const Op& breaker = ops[j];
+      int64_t fused_chunks = 0;
+      auto fold = [&]() -> Result<col::TablePtr> {
+        if (breaker.kind == OpKind::kDropDuplicates) {
+          StreamingDedupOptions dd;
+          dd.pipeline = pipe;
+          dd.pre_map = chunk_map;
+          dd.chunks_claimed = &fused_chunks;
+          return StreamingDedup(stream.get(), breaker.columns, dd);
+        }
+        StreamingGroupByOptions gb;
+        gb.pipeline = pipe;
+        gb.pre_map = chunk_map;
+        gb.chunks_claimed = &fused_chunks;
+        if (breaker.kind == OpKind::kPivot) {
+          return StreamingPivot(stream.get(), breaker, policy, gb);
+        }
+        return StreamingGroupBy(stream.get(), breaker.columns, breaker.aggs,
+                                policy, gb);
+      };
+      BENTO_ASSIGN_OR_RETURN(auto folded, fold());
+      ChargeChunks(PerChunkOverheadSeconds(), fused_chunks);
+      resume_from_table(std::move(folded));
+      i = j + 1;
+      continue;
     }
 
-    // Per-chunk modeled overhead the pipeline workers could not charge.
-    auto charge_chunks = [this](int64_t chunks) {
-      const double penalty = PerChunkOverheadSeconds();
-      if (penalty > 0 && chunks > 0) {
-        sim::ChargePenalty(penalty * static_cast<double>(chunks));
-      }
-    };
+    auto stage = TransformStage(stream.get(), chunk_map, pipe);
     // Joins the stage's workers — nothing may still hold the old stream
-    // when `stream` is replaced below — and settles its chunk accounting.
+    // when `stream` is replaced — and settles its chunk accounting.
     auto close_stage = [&]() {
-      if (par_stage == nullptr) return;
-      const int64_t chunks = par_stage->chunks_claimed();
-      par_stage.reset();
-      charge_chunks(chunks);
+      const int64_t chunks = stage->chunks_claimed();
+      stage.reset();
+      ChargeChunks(PerChunkOverheadSeconds(), chunks);
     };
-
     if (j >= ops.size()) {
-      BENTO_ASSIGN_OR_RETURN(current, drain(run_stream));
+      BENTO_ASSIGN_OR_RETURN(current, drain(stage.get()));
       close_stage();
       i = j;
       break;
     }
     const Op& breaker = ops[j];
+    i = j + 1;
+    // Closes a stage whose output was written to a temp BCF run; the file
+    // lives until the plan finishes.
+    auto close_to_file =
+        [&](Result<std::string> written) -> Result<std::string> {
+      BENTO_ASSIGN_OR_RETURN(std::string path, std::move(written));
+      close_stage();
+      auto spill = std::make_shared<TempSpill>();
+      spill->path = path;
+      spills.push_back(std::move(spill));
+      stage_table.reset();
+      return path;
+    };
+
     if (stream_breakers) {
       switch (breaker.kind) {
-        case OpKind::kGroupByAgg: {
-          StreamingGroupByOptions gb_options;
-          int64_t fused_chunks = 0;
-          if (fuse_into_breaker) {
-            gb_options.pipeline = pipe;
-            gb_options.pre_map = chunk_map;
-            gb_options.chunks_claimed = &fused_chunks;
-          }
-          BENTO_ASSIGN_OR_RETURN(
-              stage_table, StreamingGroupBy(run_stream, breaker.columns,
-                                            breaker.aggs, policy, gb_options));
-          charge_chunks(fused_chunks);
-          close_stage();
-          stream = std::make_unique<TableChunkStream>(stage_table, ChunkRows());
-          i = j + 1;
-          continue;
-        }
-        case OpKind::kPivot: {
-          StreamingGroupByOptions gb_options;
-          int64_t fused_chunks = 0;
-          if (fuse_into_breaker) {
-            gb_options.pipeline = pipe;
-            gb_options.pre_map = chunk_map;
-            gb_options.chunks_claimed = &fused_chunks;
-          }
-          BENTO_ASSIGN_OR_RETURN(
-              stage_table,
-              StreamingPivot(run_stream, breaker, policy, gb_options));
-          charge_chunks(fused_chunks);
-          close_stage();
-          stream = std::make_unique<TableChunkStream>(stage_table, ChunkRows());
-          i = j + 1;
-          continue;
-        }
-        case OpKind::kDropDuplicates: {
-          StreamingDedupOptions dd_options;
-          int64_t fused_chunks = 0;
-          if (fuse_into_breaker) {
-            dd_options.pipeline = pipe;
-            dd_options.pre_map = chunk_map;
-            dd_options.chunks_claimed = &fused_chunks;
-          }
-          BENTO_ASSIGN_OR_RETURN(
-              stage_table,
-              StreamingDedup(run_stream, breaker.columns, dd_options));
-          charge_chunks(fused_chunks);
-          close_stage();
-          stream = std::make_unique<TableChunkStream>(stage_table, ChunkRows());
-          i = j + 1;
-          continue;
-        }
         case OpKind::kSortValues: {
           // Sorted output spills to a shuffle-style temp file and the plan
           // keeps streaming from disk: memory stays O(run + chunk).
           BENTO_ASSIGN_OR_RETURN(
               std::string path,
-              ExternalSortToFile(run_stream, breaker.sort_keys, policy,
-                                 std::max<int64_t>(ChunkRows() * 4, 64 * 1024)));
-          close_stage();
-          auto spill = std::make_shared<TempSpill>();
-          spill->path = path;
-          spills.push_back(spill);
-          stage_table.reset();
-          BENTO_ASSIGN_OR_RETURN(auto bcf_stream, BcfChunkStream::Open(path));
-          stream = wrap_prefetch(std::move(bcf_stream));
-          i = j + 1;
+              close_to_file(ExternalSortToFile(
+                  stage.get(), breaker.sort_keys, policy,
+                  std::max<int64_t>(ChunkRows() * 4, 64 * 1024))));
+          BENTO_RETURN_NOT_OK(resume_from_file(path, nullptr));
           continue;
         }
         case OpKind::kGetDummies:
@@ -563,17 +505,11 @@ Result<col::TablePtr> LazyEngineBase::Execute(
             break;  // plain fillna is already streamable
           }
           BENTO_ASSIGN_OR_RETURN(std::string path,
-                                 SpillStreamToFile(run_stream));
-          close_stage();
-          auto spill = std::make_shared<TempSpill>();
-          spill->path = path;
-          spills.push_back(spill);
-          stage_table.reset();
-
-          MappedStream::MapFn map_fn;
+                                 close_to_file(SpillStreamToFile(stage.get())));
+          BENTO_ASSIGN_OR_RETURN(auto pass1_raw, BcfChunkStream::Open(path));
+          auto pass1 = WithPrefetch(std::move(pass1_raw), pipe);
+          ChunkMapFn map_fn;
           if (breaker.kind == OpKind::kGetDummies) {
-            BENTO_ASSIGN_OR_RETURN(auto pass1_raw, BcfChunkStream::Open(path));
-            auto pass1 = wrap_prefetch(std::move(pass1_raw));
             BENTO_ASSIGN_OR_RETURN(
                 auto categories,
                 StreamDistinctValues(pass1.get(), breaker.column));
@@ -582,8 +518,6 @@ Result<col::TablePtr> LazyEngineBase::Execute(
               return kern::GetDummiesWithCategories(chunk, column, categories);
             };
           } else if (breaker.kind == OpKind::kCatCodes) {
-            BENTO_ASSIGN_OR_RETURN(auto pass1_raw, BcfChunkStream::Open(path));
-            auto pass1 = wrap_prefetch(std::move(pass1_raw));
             BENTO_ASSIGN_OR_RETURN(
                 auto dict, StreamDistinctValues(pass1.get(), breaker.column));
             map_fn = [column = breaker.column, dict = std::move(dict)](
@@ -594,8 +528,6 @@ Result<col::TablePtr> LazyEngineBase::Execute(
               return chunk->SetColumn(column, codes);
             };
           } else {  // fillna with mean
-            BENTO_ASSIGN_OR_RETURN(auto pass1_raw, BcfChunkStream::Open(path));
-            auto pass1 = wrap_prefetch(std::move(pass1_raw));
             BENTO_ASSIGN_OR_RETURN(double mean,
                                    StreamColumnMean(pass1.get(), breaker.column));
             map_fn = [column = breaker.column,
@@ -608,17 +540,8 @@ Result<col::TablePtr> LazyEngineBase::Execute(
               return chunk->SetColumn(column, filled);
             };
           }
-          BENTO_ASSIGN_OR_RETURN(auto pass2, BcfChunkStream::Open(path));
-          if (pipe.parallel()) {
-            // Defer the encode map to the next stage's workers; the stream
-            // itself is just the background-prefetched spill scan.
-            pending_map = std::move(map_fn);
-            stream = wrap_prefetch(std::move(pass2));
-          } else {
-            stream = wrap_prefetch(std::make_unique<MappedStream>(
-                std::move(pass2), std::move(map_fn)));
-          }
-          i = j + 1;
+          pass1.reset();  // first pass done before the second one opens
+          BENTO_RETURN_NOT_OK(resume_from_file(path, std::move(map_fn)));
           continue;
         }
         case OpKind::kMerge: {
@@ -628,6 +551,8 @@ Result<col::TablePtr> LazyEngineBase::Execute(
             return Status::Invalid("merge without right side");
           }
           BENTO_ASSIGN_OR_RETURN(auto right, breaker.other->Collect());
+          kern::JoinOptions jopts;
+          jopts.type = breaker.join_type;
           // A build side that would eat a large slice of the remaining
           // budget (its hash table costs a few multiples of the table)
           // takes the grace path: both sides hash-partition to spill and
@@ -637,42 +562,22 @@ Result<col::TablePtr> LazyEngineBase::Execute(
               session != nullptr ? session->host_pool()->HeadroomBytes()
                                  : UINT64_MAX;
           if (headroom != UINT64_MAX && right->ByteSize() * 3 > headroom) {
-            kern::JoinOptions jopts;
-            jopts.type = breaker.join_type;
             BENTO_ASSIGN_OR_RETURN(
-                stage_table,
-                GraceHashJoin(run_stream, right, breaker.left_key,
-                              breaker.right_key, jopts));
+                auto joined, GraceHashJoin(stage.get(), right, breaker.left_key,
+                                           breaker.right_key, jopts));
             close_stage();
-            stream =
-                std::make_unique<TableChunkStream>(stage_table, ChunkRows());
-            i = j + 1;
+            resume_from_table(std::move(joined));
             continue;
           }
-          // Drain into a temp spill so the probe side never materializes.
+          // Drain into a temp spill so the probe side never materializes;
+          // the probe joins then ride the next stage's workers.
           BENTO_ASSIGN_OR_RETURN(std::string path,
-                                 SpillStreamToFile(run_stream));
-          close_stage();
-          auto spill = std::make_shared<TempSpill>();
-          spill->path = path;
-          spills.push_back(spill);
-          stage_table.reset();
-          MappedStream::MapFn map_fn =
-              [right, breaker](col::TablePtr chunk) -> Result<col::TablePtr> {
-            kern::JoinOptions jopts;
-            jopts.type = breaker.join_type;
-            return kern::HashJoin(chunk, right, breaker.left_key,
-                                  breaker.right_key, jopts);
-          };
-          BENTO_ASSIGN_OR_RETURN(auto pass, BcfChunkStream::Open(path));
-          if (pipe.parallel()) {
-            pending_map = std::move(map_fn);  // probe joins ride the workers
-            stream = wrap_prefetch(std::move(pass));
-          } else {
-            stream = wrap_prefetch(std::make_unique<MappedStream>(
-                std::move(pass), std::move(map_fn)));
-          }
-          i = j + 1;
+                                 close_to_file(SpillStreamToFile(stage.get())));
+          BENTO_RETURN_NOT_OK(resume_from_file(
+              path, [right, breaker, jopts](col::TablePtr chunk) {
+                return kern::HashJoin(chunk, right, breaker.left_key,
+                                      breaker.right_key, jopts);
+              }));
           continue;
         }
         default:
@@ -680,11 +585,10 @@ Result<col::TablePtr> LazyEngineBase::Execute(
       }
     }
     // Materialize-then-execute breaker; subsequent ops go whole-table.
-    BENTO_ASSIGN_OR_RETURN(current, drain(run_stream));
+    BENTO_ASSIGN_OR_RETURN(current, drain(stage.get()));
     close_stage();
     BENTO_ASSIGN_OR_RETURN(current,
                            frame::ExecTransform(current, breaker, policy));
-    i = j + 1;
   }
 
   // Whole-table execution of the remainder.
@@ -723,39 +627,14 @@ Result<ActionResult> LazyEngineBase::ExecuteAction(
   if (PlanOverheadSeconds() > 0) sim::ChargePenalty(PlanOverheadSeconds());
   std::vector<Op> ops = Optimize(plan);
 
-  // Same pipeline shape as Execute: transforms run on workers (chunk-level
-  // parallelism, so the per-kernel fan-out is off), the action fold stays
-  // on the calling thread in stream order.
+  // The plan is one stage, built exactly as in Execute; the action fold
+  // stays on the calling thread in stream order.
   const PipelineOptions pipe = ResolvePipelineOptions(policy);
-  ExecPolicy worker_policy = policy;
-  if (pipe.parallel()) worker_policy.parallel = false;
-  BENTO_ASSIGN_OR_RETURN(auto stream, OpenStream(source, ScanSpec{}));
-  if (pipe.parallel() && pipe.prefetch_depth > 0 &&
-      source.kind != LazySource::Kind::kTable) {
-    stream = std::make_unique<PrefetchChunkStream>(std::move(stream),
-                                                   pipe.prefetch_depth);
-  }
-  std::unique_ptr<ChunkStream> transformed;
-  ParallelPipelineDriver* par_stage = nullptr;
-  if (pipe.parallel()) {
-    auto stage = std::make_unique<ParallelPipelineDriver>(
-        stream.get(),
-        [run_ops = ops.data(), n_run = ops.size(), &worker_policy](
-            col::TablePtr chunk, int64_t) -> Result<col::TablePtr> {
-          for (size_t k = 0; k < n_run; ++k) {
-            BENTO_ASSIGN_OR_RETURN(
-                chunk, frame::ExecTransform(chunk, run_ops[k], worker_policy));
-          }
-          return chunk;
-        },
-        pipe);
-    par_stage = stage.get();
-    transformed = std::move(stage);
-  } else {
-    transformed = std::make_unique<TransformingStream>(
-        stream.get(), ops.data(), ops.size(), &policy,
-        PerChunkOverheadSeconds());
-  }
+  const ExecPolicy worker_policy = WorkerPolicy(policy, pipe);
+  BENTO_ASSIGN_OR_RETURN(auto stream, OpenStream(source, ScanSpec{}, pipe));
+  auto transformed = TransformStage(
+      stream.get(), RunMap(ops.data(), ops.size(), &worker_policy, nullptr),
+      pipe);
 
   ActionResult result;
   bool first = true;
@@ -784,13 +663,7 @@ Result<ActionResult> LazyEngineBase::ExecuteAction(
       result.count += partial.count;
     }
   }
-  if (par_stage != nullptr) {
-    const double per_chunk = PerChunkOverheadSeconds();
-    if (per_chunk > 0 && par_stage->chunks_claimed() > 0) {
-      sim::ChargePenalty(per_chunk *
-                         static_cast<double>(par_stage->chunks_claimed()));
-    }
-  }
+  ChargeChunks(PerChunkOverheadSeconds(), transformed->chunks_claimed());
   if (first) return Status::Invalid("action over an empty stream");
   return result;
 }

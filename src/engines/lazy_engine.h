@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "engines/chunk_stream.h"
+#include "engines/pipeline_driver.h"
 #include "frame/capabilities.h"
 #include "frame/engine.h"
 #include "frame/exec.h"
@@ -155,9 +156,12 @@ class LazyEngineBase : public frame::Engine {
  protected:
   /// Opens the chunk stream for a source, applying the parts of `scan` the
   /// format supports (CSV: column skipping; BCF: column projection and
-  /// row-group skipping; tables: column selection).
-  Result<std::unique_ptr<ChunkStream>> OpenStream(const LazySource& source,
-                                                  const ScanSpec& scan) const;
+  /// row-group skipping; tables: column selection). File-backed sources
+  /// read ahead on `pipe`'s background prefetch thread; in-memory tables
+  /// chunk into zero-copy slices, where buffering would add nothing.
+  Result<std::unique_ptr<ChunkStream>> OpenStream(
+      const LazySource& source, const ScanSpec& scan,
+      const PipelineOptions& pipe) const;
 
  private:
   bool optimizer_enabled_ = true;

@@ -13,22 +13,28 @@
 
 namespace bento::eng {
 
-PipelineOptions ResolvePipelineOptions(const frame::ExecPolicy& policy) {
-  PipelineOptions out;  // serial defaults
-  if (const char* env = std::getenv("BENTO_PIPELINE")) {
-    if (std::string(env) == "off" || std::string(env) == "0") return out;
+namespace {
+
+/// BENTO_PIPELINE_WORKERS=N replaces the resolved worker count exactly, not
+/// clamped to physical cores (the bit-identity tests run 8 workers on any
+/// host). Read per call: benches set it mid-process.
+int PinnedWorkers(int resolved) {
+  if (const char* env = std::getenv("BENTO_PIPELINE_WORKERS")) {
+    const long long v = std::atoll(env);
+    if (v > 0) return static_cast<int>(std::min<long long>(v, 64));
   }
+  return std::max(1, resolved);
+}
+
+}  // namespace
+
+PipelineOptions ResolvePipelineOptions(const frame::ExecPolicy& policy) {
+  PipelineOptions out;  // one inline worker
   if (!policy.parallel) return out;
   if (sim::WouldUseRealExecution(policy.parallel_options)) {
-    int workers = std::min(sim::ResolveWorkers(policy.parallel_options),
-                           sim::ThreadPool::HardwareParallelism());
-    if (const char* env = std::getenv("BENTO_PIPELINE_WORKERS")) {
-      const long long v = std::atoll(env);
-      // The sweep override is exact (not clamped to physical cores): the
-      // bit-identity tests run 8 workers on any host.
-      if (v > 0) workers = static_cast<int>(std::min<long long>(v, 64));
-    }
-    out.workers = std::max(1, workers);
+    out.workers =
+        PinnedWorkers(std::min(sim::ResolveWorkers(policy.parallel_options),
+                               sim::ThreadPool::HardwareParallelism()));
     if (out.workers > 1) out.prefetch_depth = 2;
     return out;
   }
@@ -42,14 +48,8 @@ PipelineOptions ResolvePipelineOptions(const frame::ExecPolicy& policy) {
   // done off the consumer thread is invisible to its VirtualTimer.
   sim::Session* session = sim::Session::Current();
   if (session == nullptr || sim::ThreadPool::OnWorkerThread()) return out;
-  int workers = std::min(sim::ResolveWorkers(policy.parallel_options),
-                         session->cores());
-  if (const char* env = std::getenv("BENTO_PIPELINE_WORKERS")) {
-    const long long v = std::atoll(env);
-    // Exact override: the A/B benches pin 1 vs 4 modeled workers.
-    if (v > 0) workers = static_cast<int>(std::min<long long>(v, 64));
-  }
-  out.workers = std::max(1, workers);
+  out.workers = PinnedWorkers(std::min(
+      sim::ResolveWorkers(policy.parallel_options), session->cores()));
   out.simulate = out.workers > 1;
   out.schedule = policy.parallel_options.policy;
   out.per_task_dispatch_s = policy.parallel_options.per_task_dispatch_s;
@@ -184,9 +184,9 @@ void ParallelPipelineDriver::SettleModeledCredit() {
 
 Result<col::TablePtr> ParallelPipelineDriver::Next() {
   if (!options_.threaded()) {
-    // Inline serial mode: this IS the plain streaming loop — same claim,
-    // same map, same delivery order, zero threads. Errors latch the stream
-    // terminal, matching the parallel mode's contract. In modeled mode the
+    // Inline mode: the executor's serial streaming loop — same claim, same
+    // map, same delivery order, zero threads. Errors latch the stream
+    // terminal, matching the threaded mode's contract. In modeled mode the
     // only addition is a stopwatch around the map; the overlap credit for
     // the whole stage settles once at end of stream.
     if (terminal_) return terminal_error_;

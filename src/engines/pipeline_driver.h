@@ -21,11 +21,12 @@ namespace bento::eng {
 
 /// \brief Shape of the morsel-driven parallel streaming executor.
 ///
-/// `workers <= 1` is the serial mode: every stage runs inline on the calling
-/// thread with no extra threads, no queues and no reordering — byte-for-byte
-/// the behaviour of the pre-pipeline streaming loop. `workers > 1` turns a
-/// transform stage into a ParallelPipelineDriver and wraps file-backed
-/// sources in a PrefetchChunkStream.
+/// Every streamable stage of the lazy executor is a ParallelPipelineDriver
+/// built from these options. `workers <= 1` runs it inline on the calling
+/// thread with no extra threads, no queues and no reordering: that is the
+/// serial streaming loop, not a separate code path. Real `workers > 1` runs
+/// dedicated worker threads and a PrefetchChunkStream ahead of file-backed
+/// sources.
 struct PipelineOptions {
   /// Compute workers concurrently claiming chunks. <= 1 means inline serial.
   int workers = 1;
@@ -62,12 +63,10 @@ struct PipelineOptions {
 /// measured chunk maps, and a virtual-time credit for the overlap the
 /// session machine's cores would achieve — so pipeline scaling shows in
 /// virtual time host-independently. Without any session the pipeline stays
-/// off in simulated mode (there is no clock to credit). Environment
-/// overrides (read per call, so benches and tests can sweep without
-/// rebuilding engines):
-///   BENTO_PIPELINE=off         kill switch, forces serial streaming
-///   BENTO_PIPELINE_WORKERS=N   pins the worker count (N=1 forces the
-///                              serial baseline)
+/// off in simulated mode (there is no clock to credit).
+/// BENTO_PIPELINE_WORKERS=N pins the worker count (N=1 forces the inline
+/// serial baseline); it is read per call, so benches and tests can sweep
+/// without rebuilding engines.
 PipelineOptions ResolvePipelineOptions(const frame::ExecPolicy& policy);
 
 /// \brief Order-preserving parallel transform stage: N dedicated workers

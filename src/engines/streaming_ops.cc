@@ -1,7 +1,6 @@
 #include "engines/streaming_ops.h"
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <cmath>
 #include <functional>
@@ -22,6 +21,7 @@
 #include "kernels/stats.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/spill.h"
 
 namespace bento::eng {
 
@@ -301,8 +301,8 @@ Result<TablePtr> StreamingGroupBy(ChunkStream* input,
   };
 
   // Per-chunk partial aggregation as a pure map: the fused upstream
-  // transforms (parallel mode), the hidden first-seen-order column, the
-  // local GroupBy and the count normalization. With pipeline workers the
+  // transforms, the hidden first-seen-order column, the local GroupBy and
+  // the count normalization. With pipeline workers the
   // map runs concurrently across chunks; the fold below consumes partials
   // strictly in stream order through the same serial merge code either
   // way, so the result is bit-identical for any worker count.
@@ -396,14 +396,6 @@ Result<TablePtr> StreamingGroupBy(ChunkStream* input,
 }
 
 namespace {
-
-Result<std::string> TempBcfPath() {
-  static std::atomic<uint64_t> counter{0};
-  const char* tmp = std::getenv("TMPDIR");
-  std::string base = tmp != nullptr ? tmp : "/tmp";
-  return base + "/bento_run_" + std::to_string(::getpid()) + "_" +
-         std::to_string(counter.fetch_add(1)) + ".bcf";
-}
 
 /// Cursor over one spilled sorted run (a SpillFrameStore partition).
 struct RunCursor {
@@ -618,7 +610,7 @@ Result<std::string> ExternalSortToFile(ChunkStream* input,
                                        const std::vector<kern::SortKey>& keys,
                                        const ExecPolicy& policy,
                                        int64_t run_rows) {
-  BENTO_ASSIGN_OR_RETURN(std::string path, TempBcfPath());
+  const std::string path = sim::TempFilePath("bento_run", ".bcf");
   io::BcfWriteOptions wopts;
   wopts.row_group_rows = 64 * 1024;
   wopts.compression = false;
@@ -830,7 +822,7 @@ Result<TablePtr> MaterializeStreamMapped(ChunkStream* input,
   }
 
   // Pass 1: spill the stream chunk-at-a-time, one row group per chunk.
-  BENTO_ASSIGN_OR_RETURN(std::string spill_path, TempBcfPath());
+  const std::string spill_path = sim::TempFilePath("bento_run", ".bcf");
   auto spill = [&]() -> Status {
     io::BcfWriteOptions wopts;
     wopts.row_group_rows = 0;  // one group per appended chunk
@@ -856,7 +848,7 @@ Result<TablePtr> MaterializeStreamMapped(ChunkStream* input,
 
   // Pass 2: compact into ONE mappable row group. Column-at-a-time, so the
   // peak is a single column (plus its chunk parts), never the frame.
-  BENTO_ASSIGN_OR_RETURN(std::string mapped_path, TempBcfPath());
+  const std::string mapped_path = sim::TempFilePath("bento_run", ".bcf");
   auto compact = [&]() -> Status {
     BENTO_TRACE_SPAN(kIo, "materialize.compact");
     BENTO_ASSIGN_OR_RETURN(auto src, io::BcfReader::Open(spill_path));
@@ -974,7 +966,7 @@ Result<TablePtr> MaterializeStreamMapped(ChunkStream* input,
 
 Result<std::string> SpillStreamToFile(ChunkStream* input) {
   BENTO_TRACE_SPAN(kIo, "spill.stream");
-  BENTO_ASSIGN_OR_RETURN(std::string path, TempBcfPath());
+  const std::string path = sim::TempFilePath("bento_run", ".bcf");
   io::BcfWriteOptions wopts;
   wopts.row_group_rows = 4096;  // pass-2 readers stream small batches
   wopts.compression = false;

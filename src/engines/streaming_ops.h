@@ -34,9 +34,9 @@ struct StreamingGroupByOptions {
   /// stream order, so the result is bit-identical for any worker count.
   PipelineOptions pipeline;
   /// Fused upstream transform run applied to every chunk before the partial
-  /// aggregation (set by the executor in parallel mode so transforms and
-  /// aggregation ride one pipeline stage instead of nesting two).
-  MappedStream::MapFn pre_map;
+  /// aggregation (set by the executor so transforms and aggregation ride
+  /// one pipeline stage instead of nesting two).
+  ChunkMapFn pre_map;
   /// When set, receives the number of chunks claimed from the input (for
   /// per-chunk virtual-time overheads charged by the driver thread).
   int64_t* chunks_claimed = nullptr;
@@ -47,7 +47,7 @@ struct StreamingGroupByOptions {
 /// serial in stream order).
 struct StreamingDedupOptions {
   PipelineOptions pipeline;
-  MappedStream::MapFn pre_map;
+  ChunkMapFn pre_map;
   int64_t* chunks_claimed = nullptr;
 };
 

@@ -12,7 +12,7 @@
 namespace bento::sim {
 
 namespace {
-std::atomic<uint64_t> g_spill_counter{0};
+std::atomic<uint64_t> g_temp_counter{0};
 constexpr uint64_t kFuseDisarmed = UINT64_MAX;
 std::atomic<uint64_t> g_write_fuse{kFuseDisarmed};
 std::atomic<uint64_t> g_read_fuse{kFuseDisarmed};
@@ -38,15 +38,19 @@ void SpillFile::ClearFaults() {
   g_read_fuse.store(kFuseDisarmed, std::memory_order_relaxed);
 }
 
-Result<std::unique_ptr<SpillFile>> SpillFile::Create(const std::string& dir) {
+std::string TempFilePath(const std::string& prefix,
+                         const std::string& extension, const std::string& dir) {
   std::string base = dir;
   if (base.empty()) {
     const char* tmp = std::getenv("TMPDIR");
     base = tmp != nullptr ? tmp : "/tmp";
   }
-  std::string path = base + "/bento_spill_" + std::to_string(::getpid()) +
-                     "_" + std::to_string(g_spill_counter.fetch_add(1)) +
-                     ".bin";
+  return base + "/" + prefix + "_" + std::to_string(::getpid()) + "_" +
+         std::to_string(g_temp_counter.fetch_add(1)) + extension;
+}
+
+Result<std::unique_ptr<SpillFile>> SpillFile::Create(const std::string& dir) {
+  std::string path = TempFilePath("bento_spill", ".bin", dir);
   std::FILE* f = std::fopen(path.c_str(), "w+b");
   if (f == nullptr) {
     return Status::IOError("cannot create spill file at ", path);

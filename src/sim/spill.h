@@ -10,6 +10,15 @@
 
 namespace bento::sim {
 
+/// \brief A fresh temp file path `<dir>/<prefix>_<pid>_<n><extension>`.
+/// `dir` defaults to $TMPDIR, else /tmp; `n` comes from one process-wide
+/// counter, so a path never repeats within a process. The prefix names the
+/// producer (bento_spill, bento_run, bento_vaex), which keeps leftover files
+/// recognisable.
+std::string TempFilePath(const std::string& prefix,
+                         const std::string& extension,
+                         const std::string& dir = "");
+
 /// \brief A temporary on-disk byte store used by out-of-core operators
 /// (the SparkSQL engine's spill path). Bytes written here are *not* charged
 /// to any MemoryPool, which is exactly the point: spilling converts tracked

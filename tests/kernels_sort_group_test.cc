@@ -249,6 +249,48 @@ TEST(GroupByTest, RejectsStringAggregation) {
   EXPECT_FALSE(GroupBy(t, {"k"}, {{"s", AggKind::kSum, ""}}).ok());
   EXPECT_TRUE(GroupBy(t, {"k"}, {{"s", AggKind::kCount, "n"}}).ok());
   EXPECT_FALSE(GroupBy(t, {}, {{"k", AggKind::kSum, ""}}).ok());
+
+  // kCount over string and categorical values counts valid cells and never
+  // reads them as numbers; keyed on an int64 and on a categorical column,
+  // through both the serial and the morsel kernel.
+  auto categorical = [](const std::vector<int32_t>& codes,
+                        std::vector<std::string> dict) {
+    col::CategoricalBuilder b;
+    for (int32_t code : codes) {
+      if (code < 0) {
+        b.AppendNull();
+      } else {
+        b.Append(code);
+      }
+    }
+    return b
+        .Finish(std::make_shared<const std::vector<std::string>>(
+            std::move(dict)))
+        .ValueOrDie();
+  };
+  auto counted = MakeTable(
+      {{"k", I64({1, 2, 1, 1, 2})},
+       {"ck", categorical({0, 1, 0, 0, 1}, {"p", "q"})},
+       {"s", Str({"x", "", "", "z", "w"}, {true, false, false, true, true})},
+       {"c", categorical({0, 1, 0, 0, -1}, {"a", "b"})}});
+  const std::vector<AggSpec> counts = {{"s", AggKind::kCount, "sn"},
+                                       {"c", AggKind::kCount, "cn"}};
+  sim::ParallelOptions opts;
+  opts.max_workers = 3;
+  for (const std::string key : {"k", "ck"}) {
+    SCOPED_TRACE(key);
+    for (const TablePtr& out :
+         {GroupBy(counted, {key}, counts).ValueOrDie(),
+          GroupByPartitioned(counted, {key}, counts, opts).ValueOrDie()}) {
+      ASSERT_EQ(out->num_rows(), 2);
+      auto sn = out->GetColumn("sn").ValueOrDie();
+      auto cn = out->GetColumn("cn").ValueOrDie();
+      EXPECT_EQ(sn->int64_data()[0], 2);
+      EXPECT_EQ(sn->int64_data()[1], 1);
+      EXPECT_EQ(cn->int64_data()[0], 3);
+      EXPECT_EQ(cn->int64_data()[1], 1);
+    }
+  }
 }
 
 TEST(GroupByTest, PartitionedMatchesSerialProperty) {

@@ -51,10 +51,28 @@ void* operator new[](std::size_t size) {
   return p;
 }
 
+// The nothrow forms are replaced too (std::stable_sort's temporary buffer
+// uses them): otherwise a sanitizer runtime's own nothrow new allocates
+// blocks that the std::free-backed deletes below release, an
+// alloc-dealloc mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace bento::obs {
 namespace {

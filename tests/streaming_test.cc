@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "engines/lazy_engine.h"
 #include "engines/spark.h"
@@ -8,6 +9,8 @@
 #include "frame/exec.h"
 #include "kernels/encode.h"
 #include "kernels/sort.h"
+#include "sim/machine.h"
+#include "sim/parallel.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 
@@ -138,22 +141,6 @@ TEST(ExternalSortToFileTest, MatchesInMemorySort) {
   std::remove(path.c_str());
 }
 
-TEST(MappedStreamTest, AppliesPerChunk) {
-  auto t = RandomTable(100, 9);
-  auto inner = std::make_unique<TableChunkStream>(t, 30);
-  MappedStream mapped(std::move(inner), [](TablePtr chunk) {
-    return chunk->DropColumns({"s"});
-  });
-  int64_t rows = 0;
-  while (true) {
-    auto chunk = mapped.Next().ValueOrDie();
-    if (chunk == nullptr) break;
-    EXPECT_EQ(chunk->num_columns(), 2);
-    rows += chunk->num_rows();
-  }
-  EXPECT_EQ(rows, 100);
-}
-
 TEST(EncodeFixedTest, GetDummiesWithCategoriesMatchesDiscovery) {
   auto t = MakeTable({{"c", Str({"x", "y", "x", "z"})}});
   auto discovered = kern::GetDummies(t, "c").ValueOrDie();
@@ -257,6 +244,74 @@ TEST(StreamingActionsTest, MatchMaterializedActions) {
   EXPECT_EQ(search.count, expected_search.count);
   auto cols = engine.ExecuteAction(source, plan, Op::GetColumns()).ValueOrDie();
   EXPECT_EQ(cols.names, t->schema()->names());
+}
+
+/// SparkSQL model whose only modeled cost is a large per-chunk dispatch
+/// overhead, streaming fixed 100-row chunks.
+class PerChunkEngine : public SparkSqlEngine {
+ public:
+  static constexpr double kPenalty = 1.0;  // seconds; real work is ~ms
+  int64_t ChunkRows() const override { return 100; }
+  double PlanOverheadSeconds() const override { return 0.0; }
+  double PerChunkOverheadSeconds() const override { return kPenalty; }
+};
+
+/// Pins BENTO_PIPELINE_WORKERS for one scope.
+struct PipelineWorkersEnv {
+  explicit PipelineWorkersEnv(const char* workers) {
+    setenv("BENTO_PIPELINE_WORKERS", workers, 1);
+  }
+  ~PipelineWorkersEnv() { unsetenv("BENTO_PIPELINE_WORKERS"); }
+};
+
+/// Every chunk a stage claims is charged the per-chunk overhead exactly
+/// once, whether one worker runs the stage inline or four modeled workers
+/// share it: virtual time lands within half a penalty of chunks x penalty.
+TEST(PerChunkOverheadTest, ChargesEveryClaimedChunkOnce) {
+  const TablePtr t = RandomTable(1000, 23);  // ten 100-row chunks
+  PerChunkEngine engine;
+  LazySource source;
+  source.kind = LazySource::Kind::kTable;
+  source.table = t;
+  const std::vector<Op> filter = {Op::Query("k >= 0")};
+  const std::vector<Op> group_by = {
+      Op::Query("k >= 0"),
+      Op::GroupByAgg({"k"}, {{"v", kern::AggKind::kSum, "v_sum"}})};
+
+  auto virtual_seconds = [&](const sim::MachineSpec& spec, auto run) {
+    sim::Session session(spec);
+    session.set_execution_mode(sim::ExecutionMode::kSimulated);
+    sim::VirtualTimer timer;
+    run();
+    return timer.Elapsed();
+  };
+  // Budget well under 5x the source: group-by streams, fused with the run.
+  const sim::MachineSpec tight{"tight", 4, t->ByteSize() * 2, std::nullopt};
+
+  for (const char* workers : {"1", "4"}) {
+    SCOPED_TRACE(workers);
+    PipelineWorkersEnv env(workers);
+
+    const double plain = virtual_seconds(sim::MachineSpec{}, [&] {
+      ASSERT_TRUE(engine.Execute(source, filter).ok());
+    });
+    EXPECT_NEAR(plain, 10 * PerChunkEngine::kPenalty,
+                PerChunkEngine::kPenalty / 2);
+
+    // Ten source chunks through the fused group-by stage, then the result
+    // (at most 26 groups) as one chunk through the plan's final stage.
+    const double fused = virtual_seconds(tight, [&] {
+      ASSERT_TRUE(engine.Execute(source, group_by).ok());
+    });
+    EXPECT_NEAR(fused, 11 * PerChunkEngine::kPenalty,
+                PerChunkEngine::kPenalty / 2);
+
+    const double action = virtual_seconds(sim::MachineSpec{}, [&] {
+      ASSERT_TRUE(engine.ExecuteAction(source, filter, Op::IsNa()).ok());
+    });
+    EXPECT_NEAR(action, 10 * PerChunkEngine::kPenalty,
+                PerChunkEngine::kPenalty / 2);
+  }
 }
 
 TEST(ObjectStringModelTest, PandasChargesBoxingOverhead) {
