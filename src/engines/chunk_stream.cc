@@ -1,8 +1,41 @@
 #include "engines/chunk_stream.h"
 
 #include "obs/metrics.h"
+#include "sim/memory.h"
 
 namespace bento::eng {
+
+namespace {
+
+/// Cut CSV text, charged to a pool until it is freed.
+struct ChargedText {
+  ChargedText(std::string t, std::shared_ptr<sim::MemoryPool::State> p)
+      : text(std::move(t)), pool(std::move(p)) {}
+  ~ChargedText() { pool->Release(text.size()); }
+  ChargedText(const ChargedText&) = delete;
+  ChargedText& operator=(const ChargedText&) = delete;
+
+  std::string text;
+  std::shared_ptr<sim::MemoryPool::State> pool;
+};
+
+}  // namespace
+
+Result<col::TablePtr> PendingChunk::Decode() {
+  // Both alternatives move out of the chunk: a map that drops its input
+  // frees it, and the raw input goes as soon as its decode returns.
+  if (!decode) return std::move(table);
+  auto run = std::move(decode);
+  decode = nullptr;
+  return run();
+}
+
+Result<PendingChunk> ChunkStream::NextPending() {
+  PendingChunk out;
+  BENTO_ASSIGN_OR_RETURN(out.table, Next());
+  if (out.table != nullptr) out.bytes = OwnedChunkBytes(out.table);
+  return out;
+}
 
 Result<col::TablePtr> TableChunkStream::Next() {
   const int64_t total = table_->num_rows();
@@ -24,6 +57,26 @@ Result<std::unique_ptr<CsvChunkStream>> CsvChunkStream::Open(
     const std::string& path, const io::CsvReadOptions& options) {
   BENTO_ASSIGN_OR_RETURN(auto reader, io::CsvChunkReader::Open(path, options));
   return std::unique_ptr<CsvChunkStream>(new CsvChunkStream(std::move(reader)));
+}
+
+Result<PendingChunk> CsvChunkStream::NextPending() {
+  BENTO_ASSIGN_OR_RETURN(std::string text, reader_->Cut());
+  PendingChunk out;
+  if (text.empty()) return out;
+  const std::shared_ptr<sim::MemoryPool::State>& pool =
+      sim::MemoryPool::Current()->state();
+  BENTO_RETURN_NOT_OK(pool->Reserve(text.size()));
+  auto held = std::make_shared<const ChargedText>(std::move(text), pool);
+  // Until a chunk has been decoded, take the text's size as the estimate.
+  const uint64_t decoded = decoded_bytes_->load();
+  out.bytes = held->text.size() + (decoded > 0 ? decoded : held->text.size());
+  out.decode = [reader = std::shared_ptr<const io::CsvChunkReader>(reader_),
+                held, decoded = decoded_bytes_]() -> Result<col::TablePtr> {
+    BENTO_ASSIGN_OR_RETURN(col::TablePtr table, reader->Parse(held->text));
+    decoded->store(OwnedChunkBytes(table));
+    return table;
+  };
+  return out;
 }
 
 Result<std::unique_ptr<BcfChunkStream>> BcfChunkStream::Open(

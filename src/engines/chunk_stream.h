@@ -1,6 +1,7 @@
 #ifndef BENTO_ENGINES_CHUNK_STREAM_H_
 #define BENTO_ENGINES_CHUNK_STREAM_H_
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -12,6 +13,24 @@
 
 namespace bento::eng {
 
+/// \brief A claimed batch whose decode may still be pending.
+///
+/// When `decode` is set it turns raw input (cut CSV text) into the batch,
+/// on whichever thread calls Decode(). Otherwise `table` is the batch,
+/// already decoded, or nullptr at end of stream. `bytes` is what the chunk
+/// holds until it is consumed (raw input or decoded buffers); prefetch
+/// backpressure runs on it.
+struct PendingChunk {
+  col::TablePtr table;
+  std::function<Result<col::TablePtr>()> decode;
+  uint64_t bytes = 0;
+
+  bool end() const { return table == nullptr && !decode; }
+  /// The batch (nullptr at end of stream); consumes the chunk. A deferred
+  /// decode runs here and releases its raw input when done.
+  Result<col::TablePtr> Decode();
+};
+
 /// \brief Pull-based stream of table batches: the execution backbone of the
 /// streaming engines (Polars lazy streaming, Vaex chunked evaluation, the
 /// Spark whole-stage pipeline).
@@ -21,6 +40,12 @@ class ChunkStream {
 
   /// Next batch, or nullptr at end of stream.
   virtual Result<col::TablePtr> Next() = 0;
+
+  /// Next batch with its decode possibly deferred: the serial part of the
+  /// pull runs here, the rest in PendingChunk::Decode(). Pipelined consumers
+  /// claim through this so decodes run on their workers. The default is an
+  /// eager Next().
+  virtual Result<PendingChunk> NextPending();
 };
 
 /// \brief Slices an in-memory table into fixed-size batches.
@@ -47,17 +72,31 @@ class TableChunkStream : public ChunkStream {
 };
 
 /// \brief Streams batches from a CSV file.
+///
+/// NextPending() only cuts the chunk's text; the parse is its deferred
+/// decode. The text is charged to the calling thread's MemoryPool from the
+/// cut until the decode finishes, so readahead held as text counts against
+/// the budget like decoded readahead does. A pending chunk's `bytes` is its
+/// text plus the last decoded chunk's size (before the first decode, the
+/// text's size again): text and table are both held at the end of a
+/// decode. Pending chunks share ownership of the reader, so they stay
+/// decodable after the stream is gone.
 class CsvChunkStream : public ChunkStream {
  public:
   static Result<std::unique_ptr<CsvChunkStream>> Open(
       const std::string& path, const io::CsvReadOptions& options);
 
   Result<col::TablePtr> Next() override { return reader_->Next(); }
+  Result<PendingChunk> NextPending() override;
 
  private:
-  explicit CsvChunkStream(std::unique_ptr<io::CsvChunkReader> reader)
+  explicit CsvChunkStream(std::shared_ptr<io::CsvChunkReader> reader)
       : reader_(std::move(reader)) {}
-  std::unique_ptr<io::CsvChunkReader> reader_;
+  std::shared_ptr<io::CsvChunkReader> reader_;
+  /// Decoded bytes of the last chunk decoded (written by the decoding
+  /// thread).
+  std::shared_ptr<std::atomic<uint64_t>> decoded_bytes_ =
+      std::make_shared<std::atomic<uint64_t>>(0);
 };
 
 /// \brief Streams row groups from a BCF file with column projection and

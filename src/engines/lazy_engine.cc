@@ -115,8 +115,9 @@ std::optional<std::string> LazySubplanSignature(
   return sig;
 }
 
-/// Background ingest: a file-backed stream parses/decodes ahead of compute
-/// on a dedicated producer thread whenever the pipeline asks for readahead.
+/// Background ingest: a file-backed stream pulls chunks ahead of compute on
+/// a dedicated producer thread whenever the pipeline asks for readahead (a
+/// CSV source only cuts text there; the stage's workers parse it).
 std::unique_ptr<ChunkStream> WithPrefetch(std::unique_ptr<ChunkStream> s,
                                           const PipelineOptions& pipe) {
   if (pipe.prefetch_depth > 0) {

@@ -86,11 +86,11 @@ ParallelPipelineDriver::~ParallelPipelineDriver() {
   for (std::thread& t : threads_) t.join();
 }
 
-Result<col::TablePtr> ParallelPipelineDriver::Claim(int64_t* seq) {
+Result<PendingChunk> ParallelPipelineDriver::Claim(int64_t* seq) {
   std::lock_guard<std::mutex> claim(claim_mu_);
-  if (claim_stopped_) return col::TablePtr(nullptr);
+  if (claim_stopped_) return PendingChunk{};
   const double t0 = options_.simulate ? sim::NowSeconds() : 0.0;
-  auto pulled = inner_->Next();
+  auto pulled = inner_->NextPending();
   if (options_.simulate) sim_io_seconds_.push_back(sim::NowSeconds() - t0);
   if (!pulled.ok()) {
     claim_stopped_ = true;
@@ -98,7 +98,7 @@ Result<col::TablePtr> ParallelPipelineDriver::Claim(int64_t* seq) {
     claimed_count_.fetch_add(1, std::memory_order_relaxed);
     return pulled;
   }
-  if (pulled.ValueOrDie() == nullptr) {
+  if (pulled->end()) {
     claim_stopped_ = true;
     return pulled;
   }
@@ -129,8 +129,7 @@ void ParallelPipelineDriver::WorkerLoop(int index) {
 
     int64_t seq = -1;
     auto pulled = Claim(&seq);
-    const bool end = pulled.ok() && pulled.ValueOrDie() == nullptr;
-    if (end) {
+    if (pulled.ok() && pulled->end()) {
       std::lock_guard<std::mutex> lk(mu_);
       --inflight_;  // reservation unused: nothing was claimed
       done_claiming_ = true;
@@ -139,11 +138,13 @@ void ParallelPipelineDriver::WorkerLoop(int index) {
       break;
     }
 
-    Result<col::TablePtr> out = std::move(pulled);
-    if (out.ok()) {
+    Result<col::TablePtr> out = col::TablePtr(nullptr);
+    if (pulled.ok()) {
       chunk_counter->Increment();
       BENTO_TRACE_SPAN(kEngine, "pipeline.chunk");
-      out = map_(out.MoveValueUnsafe(), seq);
+      out = DecodeAndMap(pulled.MoveValueUnsafe(), seq);
+    } else {
+      out = pulled.status();
     }
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -154,6 +155,12 @@ void ParallelPipelineDriver::WorkerLoop(int index) {
 
   std::lock_guard<std::mutex> lk(mu_);
   if (--active_workers_ == 0) cv_ready_.notify_all();
+}
+
+Result<col::TablePtr> ParallelPipelineDriver::DecodeAndMap(PendingChunk chunk,
+                                                           int64_t seq) {
+  BENTO_ASSIGN_OR_RETURN(col::TablePtr table, chunk.Decode());
+  return map_(std::move(table), seq);
 }
 
 void ParallelPipelineDriver::SettleModeledCredit() {
@@ -191,20 +198,23 @@ Result<col::TablePtr> ParallelPipelineDriver::Next() {
     // the whole stage settles once at end of stream.
     if (terminal_) return terminal_error_;
     int64_t seq = -1;
-    Result<col::TablePtr> out = Claim(&seq);
-    if (out.ok() && out.ValueOrDie() != nullptr) {
+    Result<PendingChunk> pulled = Claim(&seq);
+    Result<col::TablePtr> out = col::TablePtr(nullptr);
+    if (!pulled.ok()) {
+      out = pulled.status();
+    } else if (!pulled->end()) {
       if (options_.simulate) {
         static obs::Counter* chunk_counter =
             obs::MetricsRegistry::Global().counter("pipeline.chunks");
         chunk_counter->Increment();
         BENTO_TRACE_SPAN(kEngine, "pipeline.chunk");
         const double t0 = sim::NowSeconds();
-        out = map_(out.MoveValueUnsafe(), seq);
+        out = DecodeAndMap(pulled.MoveValueUnsafe(), seq);
         sim_map_seconds_.push_back(sim::NowSeconds() - t0);
       } else {
-        out = map_(out.MoveValueUnsafe(), seq);
+        out = DecodeAndMap(pulled.MoveValueUnsafe(), seq);
       }
-    } else if (out.ok()) {
+    } else {
       SettleModeledCredit();  // end of stream: grant the stage's overlap
     }
     if (!out.ok()) {
@@ -288,17 +298,14 @@ void PrefetchChunkStream::ProducerLoop() {
       if (cancelled_) return;
     }
 
-    Result<col::TablePtr> pulled = col::TablePtr(nullptr);
+    Result<PendingChunk> pulled = PendingChunk{};
     {
       BENTO_TRACE_SPAN(kIo, "pipeline.prefetch");
-      pulled = inner_->Next();
+      pulled = inner_->NextPending();
     }
     std::lock_guard<std::mutex> lk(mu_);
-    const bool end =
-        !pulled.ok() || pulled.ValueOrDie() == nullptr;
-    if (pulled.ok() && pulled.ValueOrDie() != nullptr) {
-      last_chunk_bytes_ = OwnedChunkBytes(pulled.ValueOrDie());
-    }
+    const bool end = !pulled.ok() || pulled->end();
+    if (!end) last_chunk_bytes_ = pulled->bytes;
     queue_.push_back(std::move(pulled));
     cv_produced_.notify_all();
     if (end) {
@@ -309,6 +316,11 @@ void PrefetchChunkStream::ProducerLoop() {
 }
 
 Result<col::TablePtr> PrefetchChunkStream::Next() {
+  BENTO_ASSIGN_OR_RETURN(PendingChunk chunk, NextPending());
+  return chunk.Decode();
+}
+
+Result<PendingChunk> PrefetchChunkStream::NextPending() {
   static obs::Counter* stalls =
       obs::MetricsRegistry::Global().counter("pipeline.prefetch.stalls");
   std::unique_lock<std::mutex> lk(mu_);
@@ -317,8 +329,8 @@ Result<col::TablePtr> PrefetchChunkStream::Next() {
     stalls->Increment();
   }
   cv_produced_.wait(lk, [&] { return !queue_.empty() || finished_; });
-  if (queue_.empty()) return col::TablePtr(nullptr);  // finished, drained
-  Result<col::TablePtr> r = std::move(queue_.front());
+  if (queue_.empty()) return PendingChunk{};  // finished, drained
+  Result<PendingChunk> r = std::move(queue_.front());
   queue_.pop_front();
   cv_consumed_.notify_all();
   return r;

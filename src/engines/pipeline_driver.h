@@ -73,8 +73,10 @@ PipelineOptions ResolvePipelineOptions(const frame::ExecPolicy& policy);
 /// concurrently claim sequence-numbered chunks from `inner` and run `map`
 /// on each; `Next()` reassembles results in claim order.
 ///
-/// Claims are serialized (one worker at a time pulls `inner->Next()` and
-/// takes the next sequence number), maps run concurrently without locks,
+/// Claims are serialized (one worker at a time pulls
+/// `inner->NextPending()` and takes the next sequence number); the claiming
+/// worker then decodes the chunk (a deferred CSV parse) and runs `map` on
+/// it, concurrently with the other workers and without locks,
 /// and finished chunks park in a bounded reorder buffer until the consumer
 /// reaches their sequence number. At most `workers + readahead` chunks are
 /// in flight; a worker that gets ahead blocks until the consumer drains —
@@ -90,7 +92,8 @@ PipelineOptions ResolvePipelineOptions(const frame::ExecPolicy& policy);
 /// budget.
 ///
 /// With `options.workers <= 1` no threads are created and `Next()` runs
-/// claim + map inline — the degenerate case IS the serial streaming loop.
+/// claim, decode and map inline — the degenerate case IS the serial
+/// streaming loop.
 class ParallelPipelineDriver : public ChunkStream {
  public:
   /// Pure per-chunk transform; `seq` is the chunk's 0-based claim index
@@ -114,9 +117,11 @@ class ParallelPipelineDriver : public ChunkStream {
 
  private:
   void WorkerLoop(int index);
-  /// Serial claim of the next chunk + sequence number. Returns nullptr at
-  /// end of stream.
-  Result<col::TablePtr> Claim(int64_t* seq);
+  /// Serial claim of the next chunk + sequence number; its decode is left
+  /// to the caller. Returns an end() chunk at end of stream.
+  Result<PendingChunk> Claim(int64_t* seq);
+  /// Decodes a claimed chunk and runs `map` on it (on the calling thread).
+  Result<col::TablePtr> DecodeAndMap(PendingChunk chunk, int64_t seq);
   /// Modeled mode: grants the session the overlap credit for the measured
   /// chunk maps, once (end of stream or destruction, whichever is first).
   void SettleModeledCredit();
@@ -127,8 +132,9 @@ class ParallelPipelineDriver : public ChunkStream {
   sim::MemoryPool* pool_;  // consumer-thread pool, installed on workers
   int capacity_ = 0;       // max chunks in flight (claimed, not consumed)
 
-  // Claim serialization (kept apart from mu_ so a long inner->Next() —
-  // a CSV parse — never blocks the consumer from popping ready chunks).
+  // Claim serialization (kept apart from mu_ so a long pull — a BCF
+  // decode, a CSV cut — never blocks the consumer from popping ready
+  // chunks).
   std::mutex claim_mu_;
   int64_t next_claim_seq_ = 0;  // guarded by claim_mu_
   bool claim_stopped_ = false;  // end-of-stream or claim error; claim_mu_
@@ -149,32 +155,37 @@ class ParallelPipelineDriver : public ChunkStream {
   std::atomic<int64_t> claimed_count_{0};
   std::vector<std::thread> threads_;
 
-  // Modeled (simulate) mode: measured wall seconds of each chunk map and of
-  // each claim (the source pull the real pipeline hides behind prefetch).
+  // Modeled (simulate) mode: measured wall seconds of each chunk's decode +
+  // map and of each claim (the source pull the real pipeline hides behind
+  // prefetch).
   std::vector<double> sim_map_seconds_;
   std::vector<double> sim_io_seconds_;
   bool sim_credited_ = false;
 };
 
-/// \brief Background I/O prefetch stage: a dedicated producer thread pulls
-/// (parses, decompresses, maps) chunks from `inner` into a bounded queue so
-/// ingest overlaps with compute.
+/// \brief Background I/O prefetch stage: a dedicated producer thread claims
+/// chunks from `inner` (`NextPending()`: cuts CSV text; reads,
+/// decompresses or maps BCF groups) into a bounded queue so ingest overlaps
+/// with compute. Deferred decodes stay deferred: `NextPending()` hands them
+/// on to the consumer's workers, and `Next()` runs them on the caller.
 ///
-/// The producer installs the constructing thread's MemoryPool, so decoded
-/// buffers charge the session budget the moment they exist — readahead can
-/// never hold more memory than the budget admits. Backpressure is two-fold:
-/// the producer sleeps while the queue is full, and also while pool headroom
-/// has shrunk below twice the last chunk's footprint (unless the queue is
-/// empty, which keeps the pipeline live: the consumer is about to free
-/// memory by taking that chunk). Order is trivially preserved (one producer,
-/// FIFO queue). Emits `pipeline.prefetch` spans around each pull and counts
-/// consumer-side waits in `pipeline.prefetch.stalls`.
+/// The producer installs the constructing thread's MemoryPool, so what it
+/// holds — decoded buffers or raw text — charges the session budget the
+/// moment it exists, and readahead can never hold more memory than the
+/// budget admits. Backpressure is two-fold: the producer sleeps while the
+/// queue is full, and also while pool headroom has shrunk below twice the
+/// last chunk's footprint (unless the queue is empty, which keeps the
+/// pipeline live: the consumer is about to free memory by taking that
+/// chunk). Order is trivially preserved (one producer, FIFO queue). Emits
+/// `pipeline.prefetch` spans around each pull and counts consumer-side
+/// waits in `pipeline.prefetch.stalls`.
 class PrefetchChunkStream : public ChunkStream {
  public:
   PrefetchChunkStream(std::unique_ptr<ChunkStream> inner, int depth);
   ~PrefetchChunkStream() override;
 
   Result<col::TablePtr> Next() override;
+  Result<PendingChunk> NextPending() override;
 
  private:
   void ProducerLoop();
@@ -186,10 +197,10 @@ class PrefetchChunkStream : public ChunkStream {
   std::mutex mu_;
   std::condition_variable cv_produced_;
   std::condition_variable cv_consumed_;
-  std::deque<Result<col::TablePtr>> queue_;  // guarded by mu_
-  uint64_t last_chunk_bytes_ = 0;            // guarded by mu_
-  bool finished_ = false;                    // guarded by mu_
-  bool cancelled_ = false;                   // guarded by mu_
+  std::deque<Result<PendingChunk>> queue_;  // guarded by mu_
+  uint64_t last_chunk_bytes_ = 0;           // guarded by mu_
+  bool finished_ = false;                   // guarded by mu_
+  bool cancelled_ = false;                  // guarded by mu_
   std::thread producer_;
 };
 

@@ -1,8 +1,10 @@
 #ifndef BENTO_IO_CSV_H_
 #define BENTO_IO_CSV_H_
 
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "columnar/table.h"
@@ -46,14 +48,50 @@ Result<col::TablePtr> ReadCsv(const std::string& path,
                               const CsvReadOptions& options = {});
 
 /// \brief Memory-mapped CSV read with chunk-parallel parsing: the file is
-/// split at row boundaries and chunks parse through sim::ParallelFor — the
-/// DataTable model the paper credits for its I/O wins.
+/// split at record boundaries (found with CsvRecordScanner, so quoted
+/// newlines never split a record) and chunks parse through
+/// sim::ParallelFor — the DataTable model the paper credits for its I/O
+/// wins.
 Result<col::TablePtr> ReadCsvMmap(const std::string& path,
                                   const CsvReadOptions& options = {},
                                   const sim::ParallelOptions& parallel = {});
 
+/// \brief The one definition of a CSV record, shared by every reader.
+///
+/// A line runs to the next '\n' outside quotes (every '"' toggles quoting).
+/// A record is a line that is non-empty once one trailing '\r' is dropped:
+/// blank lines, "\r"-only ones included, are not records. The scanner is
+/// resumable. It keeps its position and quote state between calls, so a
+/// buffer that grows at the end is scanned once however it arrives.
+class CsvRecordScanner {
+ public:
+  /// Next complete line of `text`, without its '\n'; false when `text` holds
+  /// no further unquoted '\n'. `text` may only have grown at the end (or
+  /// lost a prefix through Drop) since the previous call.
+  bool NextLine(std::string_view text, std::string_view* line);
+
+  /// Offset one past the last line returned: where the next line starts.
+  size_t line_start() const { return line_start_; }
+
+  /// Rebases offsets after the first `n` bytes (n <= line_start()) were
+  /// erased from the buffer.
+  void Drop(size_t n);
+
+ private:
+  static constexpr size_t kNone = static_cast<size_t>(-1);
+  size_t pos_ = 0;          // first byte not yet scanned
+  size_t line_start_ = 0;
+  size_t newline_ = kNone;  // next '\n' at or after pos_, when known
+  bool in_quotes_ = false;
+};
+
 /// \brief Streaming reader producing `chunk_rows`-row batches; the input of
 /// the streaming engines (Polars lazy streaming, Vaex, Spark whole-stage).
+///
+/// Reading a chunk is two steps. Cut() is the serial one: a single
+/// quote-aware scan cuts the next `chunk_rows` records as raw text. Parse()
+/// decodes that text; it is const and thread-safe, so pipelined consumers
+/// run it on their worker threads. Next() is Cut() then Parse().
 class CsvChunkReader {
  public:
   static Result<std::unique_ptr<CsvChunkReader>> Open(
@@ -68,15 +106,31 @@ class CsvChunkReader {
   /// Next batch, or nullptr at end of file.
   Result<col::TablePtr> Next();
 
+  /// Raw text of the next `chunk_rows` records (fewer only in the last
+  /// chunk, which also takes a final record without a trailing newline);
+  /// empty at end of file.
+  Result<std::string> Cut();
+
+  /// Decodes text returned by Cut(). Safe to call from any thread,
+  /// concurrently with Cut() and with other Parse() calls.
+  Result<col::TablePtr> Parse(std::string_view text) const;
+
  private:
   CsvChunkReader() = default;
+
+  /// Appends the next block of the file to buffer_, first dropping the text
+  /// already cut.
+  Status ReadBlock();
 
   std::FILE* file_ = nullptr;
   CsvReadOptions options_;
   col::SchemaPtr schema_;
   /// Kept-column -> raw-field index when drop_columns is set (else empty).
   std::vector<size_t> field_map_;
-  std::string carry_;   // partial record between buffered reads
+  std::string buffer_;  // file text read but not yet cut, from head_ on
+  size_t head_ = 0;
+  CsvRecordScanner scanner_;  // over buffer_, from head_
+  int64_t scanned_records_ = 0;  // records in [head_, scanner_.line_start())
   bool eof_ = false;
 };
 

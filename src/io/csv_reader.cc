@@ -102,33 +102,28 @@ bool LooksLikeBool(std::string_view v) {
   return v == "true" || v == "false" || v == "True" || v == "False";
 }
 
-/// Walks `text` record by record (handles quoted newlines) and calls
-/// `on_record(line)` for each one. Returns the offset one past the last
-/// complete record (the remainder is a partial record).
+/// Drops one trailing '\r' from `line`; true when a record remains.
+bool TrimRecord(std::string_view* line) {
+  if (!line->empty() && line->back() == '\r') line->remove_suffix(1);
+  return !line->empty();
+}
+
+/// Calls `on_record(line)` for each record of `text` (see
+/// CsvRecordScanner), up to `limit` records. A final line without a
+/// trailing newline counts.
 template <typename Fn>
-size_t ForEachRecord(std::string_view text, bool allow_partial_tail, Fn on_record) {
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t end = pos;
-    bool in_quotes = false;
-    while (end < text.size()) {
-      char c = text[end];
-      if (c == '"') {
-        in_quotes = !in_quotes;
-      } else if (c == '\n' && !in_quotes) {
-        break;
-      }
-      ++end;
-    }
-    if (end >= text.size() && allow_partial_tail) {
-      return pos;  // incomplete tail record
-    }
-    std::string_view line = text.substr(pos, end - pos);
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (!line.empty()) on_record(line);
-    pos = end + 1;
+void ForEachRecord(std::string_view text, Fn on_record,
+                   int64_t limit = INT64_MAX) {
+  CsvRecordScanner scanner;
+  std::string_view line;
+  int64_t taken = 0;
+  while (taken < limit && scanner.NextLine(text, &line)) {
+    if (!TrimRecord(&line)) continue;
+    on_record(line);
+    ++taken;
   }
-  return pos;
+  line = text.substr(scanner.line_start());
+  if (taken < limit && TrimRecord(&line)) on_record(line);
 }
 
 /// Column-type inference over sampled rows.
@@ -292,7 +287,7 @@ Result<col::TablePtr> ParseRecords(std::string_view body,
   std::vector<bool> quoted;
   std::string scratch;
   scratch.reserve(4096);
-  ForEachRecord(body, /*allow_partial_tail=*/false, [&](std::string_view line) {
+  ForEachRecord(body, [&](std::string_view line) {
     SplitRecord(line, options.delimiter, &fields, &scratch, &quoted);
     for (size_t c = 0; c < decoders.size(); ++c) {
       const size_t f = field_map != nullptr ? (*field_map)[c] : c;
@@ -378,16 +373,16 @@ col::SchemaPtr InferFromBody(std::string_view body,
   std::vector<std::vector<std::string>> sample;
   std::vector<std::string_view> fields;
   std::string scratch;
-  int64_t taken = 0;
-  ForEachRecord(body, false, [&](std::string_view line) {
-    if (taken >= options.infer_rows) return;
-    SplitRecord(line, options.delimiter, &fields, &scratch);
-    std::vector<std::string> row;
-    row.reserve(fields.size());
-    for (std::string_view f : fields) row.emplace_back(f);
-    sample.push_back(std::move(row));
-    ++taken;
-  });
+  ForEachRecord(
+      body,
+      [&](std::string_view line) {
+        SplitRecord(line, options.delimiter, &fields, &scratch);
+        std::vector<std::string> row;
+        row.reserve(fields.size());
+        for (std::string_view f : fields) row.emplace_back(f);
+        sample.push_back(std::move(row));
+      },
+      options.infer_rows);
   return InferSchema(names, sample, options);
 }
 
@@ -405,6 +400,49 @@ Result<std::string> SlurpFile(const std::string& path) {
 }
 
 }  // namespace
+
+bool CsvRecordScanner::NextLine(std::string_view text,
+                                std::string_view* line) {
+  const char* base = text.data();
+  const size_t n = text.size();
+  auto find = [&](char c, size_t from, size_t to) -> size_t {
+    const void* hit = std::memchr(base + from, c, to - from);
+    return hit == nullptr ? kNone : static_cast<const char*>(hit) - base;
+  };
+  while (pos_ < n) {
+    if (in_quotes_) {
+      const size_t close = find('"', pos_, n);
+      if (close == kNone) {
+        pos_ = n;
+        return false;
+      }
+      pos_ = close + 1;
+      in_quotes_ = false;
+      continue;
+    }
+    if (newline_ == kNone || newline_ < pos_) newline_ = find('\n', pos_, n);
+    const size_t open = find('"', pos_, newline_ == kNone ? n : newline_);
+    if (open != kNone) {
+      pos_ = open + 1;
+      in_quotes_ = true;
+      continue;
+    }
+    if (newline_ == kNone) {
+      pos_ = n;
+      return false;
+    }
+    *line = text.substr(line_start_, newline_ - line_start_);
+    pos_ = line_start_ = newline_ + 1;
+    return true;
+  }
+  return false;
+}
+
+void CsvRecordScanner::Drop(size_t n) {
+  pos_ -= n;
+  line_start_ -= n;
+  newline_ = newline_ != kNone && newline_ >= n ? newline_ - n : kNone;
+}
 
 Result<col::TablePtr> ReadCsv(const std::string& path,
                               const CsvReadOptions& options) {
@@ -469,8 +507,8 @@ Result<col::TablePtr> ReadCsvMmap(const std::string& path,
   const std::vector<size_t>* field_map =
       proj.active ? &proj.field_map : nullptr;
 
-  // Split at record boundaries (newline scan; quoted newlines are not
-  // supported on this parallel path, matching mmap readers' restrictions).
+  // Split at the first record boundary at or past each equal share of the
+  // body. The quote-aware scan is serial, but memchr-fast next to parsing.
   int workers = parallel.max_workers;
   if (workers <= 0) {
     workers = sim::Session::Current() != nullptr
@@ -478,27 +516,22 @@ Result<col::TablePtr> ReadCsvMmap(const std::string& path,
                   : 1;
   }
   std::vector<std::pair<size_t, size_t>> chunks;
-  if (workers <= 1 || body.size() < 1 << 16) {
-    chunks.emplace_back(0, body.size());
-  } else {
-    size_t begin = 0;
-    for (int w = 1; w <= workers; ++w) {
-      size_t target = body.size() * static_cast<size_t>(w) /
-                      static_cast<size_t>(workers);
-      if (w == workers) {
-        chunks.emplace_back(begin, body.size());
-        break;
+  size_t begin = 0;
+  if (workers > 1 && body.size() >= 1 << 16) {
+    CsvRecordScanner scanner;
+    std::string_view line;
+    for (int w = 1; w < workers; ++w) {
+      const size_t target = body.size() * static_cast<size_t>(w) /
+                            static_cast<size_t>(workers);
+      while (scanner.line_start() < target && scanner.NextLine(body, &line)) {
       }
-      size_t cut = body.find('\n', target);
-      if (cut == std::string_view::npos) {
-        chunks.emplace_back(begin, body.size());
-        begin = body.size();
-        break;
+      if (scanner.line_start() > begin) {
+        chunks.emplace_back(begin, scanner.line_start());
+        begin = scanner.line_start();
       }
-      chunks.emplace_back(begin, cut + 1);
-      begin = cut + 1;
     }
   }
+  chunks.emplace_back(begin, body.size());
 
   std::vector<col::TablePtr> parts(chunks.size());
   BENTO_RETURN_NOT_OK(sim::ParallelFor(
@@ -531,10 +564,13 @@ Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::Open(
   reader->file_ = f;
   reader->options_ = options;
 
-  // Read an inference prefix, then rewind past the header only.
+  // Infer from a prefix of the file; the prefix past the header is the
+  // start of the first chunk's text.
   std::string prefix(1 << 20, '\0');
   const size_t got = std::fread(prefix.data(), 1, prefix.size(), f);
+  if (std::ferror(f) != 0) return Status::IOError("read failed for ", path);
   prefix.resize(got);
+  reader->eof_ = got < (1 << 20);
   HeaderInfo header = ReadHeader(prefix, options);
   std::string_view body = std::string_view(prefix).substr(header.body_offset);
   col::SchemaPtr full = options.schema != nullptr
@@ -544,9 +580,8 @@ Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::Open(
                          ResolveDropColumns(full, options));
   reader->schema_ = proj.schema;
   if (proj.active) reader->field_map_ = std::move(proj.field_map);
-  if (std::fseek(f, static_cast<long>(header.body_offset), SEEK_SET) != 0) {
-    return Status::IOError("seek failed for ", path);
-  }
+  prefix.erase(0, header.body_offset);
+  reader->buffer_ = std::move(prefix);
   return reader;
 }
 
@@ -554,76 +589,63 @@ CsvChunkReader::~CsvChunkReader() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
+Status CsvChunkReader::ReadBlock() {
+  constexpr size_t kBlock = 256 * 1024;
+  if (head_ > 0) {
+    buffer_.erase(0, head_);
+    scanner_.Drop(head_);
+    head_ = 0;
+  }
+  const size_t old = buffer_.size();
+  buffer_.resize(old + kBlock);
+  const size_t got = std::fread(buffer_.data() + old, 1, kBlock, file_);
+  buffer_.resize(old + got);
+  if (std::ferror(file_) != 0) return Status::IOError("CSV read failed");
+  if (got < kBlock) eof_ = true;
+  return Status::OK();
+}
+
+Result<std::string> CsvChunkReader::Cut() {
+  BENTO_TRACE_SPAN(kIo, "csv.chunk_cut");
+  // One pass: the scanner resumes where the previous call (or read) left
+  // off, and stops right after record `chunk_rows`.
+  std::string_view line;
+  while (true) {
+    while (scanned_records_ < options_.chunk_rows &&
+           scanner_.NextLine(buffer_, &line)) {
+      if (TrimRecord(&line)) ++scanned_records_;
+    }
+    if (scanned_records_ >= options_.chunk_rows || eof_) break;
+    BENTO_RETURN_NOT_OK(ReadBlock());
+  }
+  std::string text;
+  if (scanned_records_ >= options_.chunk_rows) {
+    text = buffer_.substr(head_, scanner_.line_start() - head_);
+    head_ = scanner_.line_start();
+  } else {
+    // End of file: the last chunk takes everything left, including a final
+    // record without a trailing newline.
+    line = std::string_view(buffer_).substr(scanner_.line_start());
+    if (scanned_records_ > 0 || TrimRecord(&line)) text = buffer_.substr(head_);
+    buffer_.clear();
+    head_ = 0;
+    scanner_ = CsvRecordScanner();
+  }
+  scanned_records_ = 0;
+  return text;
+}
+
+Result<col::TablePtr> CsvChunkReader::Parse(std::string_view text) const {
+  BENTO_TRACE_SPAN(kIo, "csv.chunk_parse");
+  return ParseRecords(text, schema_, options_,
+                      field_map_.empty() ? nullptr : &field_map_);
+}
+
 Result<col::TablePtr> CsvChunkReader::Next() {
   BENTO_TRACE_SPAN(kIo, "csv.chunk_next");
-  if (eof_ && carry_.empty()) return col::TablePtr(nullptr);
-
-  // Accumulate at least chunk_rows complete records in the buffer, then cut
-  // exactly chunk_rows of them; the remainder carries to the next call.
-  std::string buffer = std::move(carry_);
-  carry_.clear();
-  std::string block(256 * 1024, '\0');
-  std::string chunk_text;
-
-  auto count_and_cut = [&](int64_t limit, int64_t* rows_out) -> size_t {
-    // Scans complete records; returns the offset just past record `limit`
-    // (or past the last complete record when fewer are buffered).
-    int64_t rows = 0;
-    size_t cut = 0;
-    ForEachRecord(buffer, /*allow_partial_tail=*/true,
-                  [&](std::string_view) { ++rows; });
-    // Second pass to find the cut offset for `limit` records.
-    int64_t seen = 0;
-    size_t pos = 0;
-    std::string_view text(buffer);
-    while (pos < text.size() && seen < limit) {
-      size_t end = pos;
-      bool in_quotes = false;
-      while (end < text.size()) {
-        char c = text[end];
-        if (c == '"') {
-          in_quotes = !in_quotes;
-        } else if (c == '\n' && !in_quotes) {
-          break;
-        }
-        ++end;
-      }
-      if (end >= text.size()) break;  // incomplete tail
-      if (end > pos) ++seen;          // skip blank lines without counting
-      pos = end + 1;
-      cut = pos;
-    }
-    *rows_out = rows;
-    return cut;
-  };
-
-  int64_t rows = 0;
-  while (true) {
-    count_and_cut(0, &rows);
-    if (rows >= options_.chunk_rows || eof_) break;
-    const size_t got = std::fread(block.data(), 1, block.size(), file_);
-    if (got == 0) {
-      eof_ = true;
-      continue;
-    }
-    buffer.append(block.data(), got);
-  }
-
-  if (eof_ && rows <= options_.chunk_rows) {
-    // Flush everything, including a tail record without trailing newline.
-    chunk_text = std::move(buffer);
-    carry_.clear();
-  } else {
-    const size_t cut = count_and_cut(options_.chunk_rows, &rows);
-    chunk_text = buffer.substr(0, cut);
-    carry_ = buffer.substr(cut);
-  }
-  if (chunk_text.empty()) {
-    eof_ = true;
-    return col::TablePtr(nullptr);
-  }
-  return ParseRecords(chunk_text, schema_, options_,
-                      field_map_.empty() ? nullptr : &field_map_);
+  BENTO_ASSIGN_OR_RETURN(std::string text, Cut());
+  if (text.empty()) return col::TablePtr(nullptr);
+  return Parse(text);
 }
 
 }  // namespace bento::io

@@ -309,6 +309,107 @@ TEST(CsvTest, ChunkReaderStreamsAllRows) {
   EXPECT_GT(chunks, 1);
 }
 
+/// Writes `text` to `path` verbatim.
+void WriteText(const std::string& path, const std::string& text) {
+  FILE* f = fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(fwrite(text.data(), 1, text.size(), f), text.size());
+  fclose(f);
+}
+
+TEST(CsvTest, MmapSplitsNeverLandInsideQuotedFields) {
+  // Every row's text field holds quoted newlines, so any byte offset the
+  // four-way split aims at sits next to one; a split that ignores quotes
+  // cuts records in half (extra rows, null ids).
+  std::string text = "id,note,v\n";
+  for (int i = 0; i < 20000; ++i) {
+    text += std::to_string(i) + ",\"first " + std::to_string(i) +
+            "\nsecond\nthird\"," + std::to_string(i % 7) + ".5\n";
+  }
+  ASSERT_GT(text.size(), 64u * 1024);
+  TempPath path(".csv");
+  WriteText(path.str(), text);
+  auto buffered = ReadCsv(path.str()).ValueOrDie();
+  ASSERT_EQ(buffered->num_rows(), 20000);
+  sim::ParallelOptions popts;
+  popts.mode = sim::ExecutionMode::kReal;
+  popts.max_workers = 4;
+  auto mapped = ReadCsvMmap(path.str(), {}, popts).ValueOrDie();
+  EXPECT_EQ(mapped->GetColumn("id").ValueOrDie()->null_count(), 0);
+  test::ExpectTablesEqual(buffered, mapped);
+}
+
+/// Reads `path` through CsvChunkReader::Next at `chunk_rows`.
+std::vector<TablePtr> ReadChunks(const std::string& path, int64_t chunk_rows) {
+  CsvReadOptions options;
+  options.chunk_rows = chunk_rows;
+  auto reader = CsvChunkReader::Open(path, options).ValueOrDie();
+  std::vector<TablePtr> chunks;
+  while (true) {
+    auto chunk = reader->Next().ValueOrDie();
+    if (chunk == nullptr) break;
+    chunks.push_back(std::move(chunk));
+  }
+  return chunks;
+}
+
+TEST(CsvTest, ChunkReaderCutsExactlyChunkRowsRecords) {
+  // Record-boundary hazards for the cut scan: CRLF endings, blank lines
+  // ("\r\n" and "\n"), quoted newlines (one of them straddling each read
+  // block boundary: the 1 MiB first read, then 256 KiB blocks), and a last
+  // record without a trailing newline.
+  const size_t kFirstRead = 1 << 20;
+  const size_t kBlock = 256 * 1024;
+  std::string text = "id,note,v\r\n";
+  size_t boundary = kFirstRead;
+  for (int i = 0; text.size() < kFirstRead + 3 * kBlock; ++i) {
+    std::string row = std::to_string(i) + ",";
+    const size_t quote_at = text.size() + row.size();
+    if (quote_at < boundary && quote_at + 200 > boundary) {
+      // Open the quote before the boundary, put its newline after it.
+      row += "\"" + std::string(boundary - quote_at + 16, 'q') + "\r\nend\"";
+      boundary += kBlock;
+    } else if (i % 11 == 0) {
+      row += "\"two\nlines\"";
+    } else {
+      row += "plain" + std::to_string(i % 5);
+    }
+    row += "," + std::to_string(i % 13) + "\r\n";
+    if (i % 17 == 0) row += "\r\n";
+    if (i % 29 == 0) row += "\n";
+    text += row;
+  }
+  ASSERT_GT(boundary, kFirstRead + 2 * kBlock) << "every boundary straddled";
+  text += "last,\"tail\",1";  // no trailing newline
+  TempPath path(".csv");
+  WriteText(path.str(), text);
+  auto whole = ReadCsv(path.str()).ValueOrDie();
+
+  for (int64_t chunk_rows : {1, 7, 10, 1000, 4096, 65536, 1 << 20}) {
+    SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows));
+    auto chunks = ReadChunks(path.str(), chunk_rows);
+    ASSERT_FALSE(chunks.empty());
+    for (size_t c = 0; c + 1 < chunks.size(); ++c) {
+      ASSERT_EQ(chunks[c]->num_rows(), chunk_rows) << "chunk " << c;
+    }
+    ASSERT_GE(chunks.back()->num_rows(), 1);
+    ASSERT_LE(chunks.back()->num_rows(), chunk_rows);
+    test::ExpectTablesEqual(whole, col::ConcatTables(chunks).ValueOrDie());
+  }
+}
+
+TEST(CsvTest, ChunkReaderSkipsBlankTailAndHeaderOnlyFiles) {
+  TempPath blank_tail(".csv");
+  WriteText(blank_tail.str(), "a,b\r\n1,2\r\n3,4\r\n\r\n\n\r\n");
+  auto chunks = ReadChunks(blank_tail.str(), 2);
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(chunks[0]->num_rows(), 2);
+
+  TempPath header_only(".csv");
+  WriteText(header_only.str(), "a,b\n");
+  EXPECT_TRUE(ReadChunks(header_only.str(), 4).empty());
+}
+
 TEST(CsvTest, ParallelWriterMatchesSerial) {
   TempPath p1(".csv");
   TempPath p2(".csv");

@@ -2,14 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "engines/chunk_stream.h"
+#include "frame/exec.h"
+#include "io/csv.h"
 #include "obs/metrics.h"
 #include "sim/machine.h"
 #include "tests/test_util.h"
@@ -19,7 +25,8 @@
 // prefetch stage: claim-order delivery regardless of completion order,
 // errors surfacing at their stream position, bounded in-flight chunks,
 // clean early destruction, and prefetch buffers charging the MemoryPool so
-// readahead obeys the session budget.
+// readahead obeys the session budget. CSV sources defer their parse to the
+// workers: decoded chunks must match the serial chunk reader exactly.
 
 namespace bento::eng {
 namespace {
@@ -388,6 +395,196 @@ TEST(ParallelPipelineDriverTest, StageOverTableSlicesMatchesSerial) {
       test::ExpectTablesEqual(serial[c], parallel[c]);
     }
   }
+}
+
+/// A CSV file in the process's temp space, removed on destruction.
+class TempCsv {
+ public:
+  explicit TempCsv(const std::string& text) {
+    static int counter = 0;
+    path_ = "/tmp/bento_pipeline_test_" + std::to_string(getpid()) + "_" +
+            std::to_string(counter++) + ".csv";
+    FILE* f = fopen(path_.c_str(), "wb");
+    fwrite(text.data(), 1, text.size(), f);
+    fclose(f);
+  }
+  ~TempCsv() { std::remove(path_.c_str()); }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// `rows` records: int, float, a low-cardinality string (so per-chunk
+/// dictionaries differ chunk to chunk), a quoted field with an embedded
+/// newline, and a column for drop_columns to skip.
+std::string CsvText(int rows, uint64_t seed) {
+  Rng rng(seed);
+  std::string text = "k,v,s,note,dropme\n";
+  for (int i = 0; i < rows; ++i) {
+    text += std::to_string(rng.UniformInt(0, 99)) + "," +
+            std::to_string(rng.UniformInt(0, 999)) + ".25," +
+            std::string(1, static_cast<char>('a' + rng.Uniform(6 + i / 500))) +
+            ",\"row " + std::to_string(i) + "\nnext\"," + std::to_string(i) +
+            "\n";
+  }
+  return text;
+}
+
+/// Chunks of the serial CsvChunkReader::Next loop: the reference.
+std::vector<TablePtr> SerialCsvChunks(const std::string& path,
+                                      const io::CsvReadOptions& options) {
+  auto reader = io::CsvChunkReader::Open(path, options).ValueOrDie();
+  std::vector<TablePtr> chunks;
+  while (true) {
+    auto chunk = reader->Next().ValueOrDie();
+    if (chunk == nullptr) break;
+    chunks.push_back(std::move(chunk));
+  }
+  return chunks;
+}
+
+/// Per-chunk dictionaries must match too, not only the decoded values.
+void ExpectSameChunk(const TablePtr& expected, const TablePtr& actual) {
+  test::ExpectTablesEqual(expected, actual);
+  for (int c = 0; c < expected->num_columns(); ++c) {
+    const col::ArrayPtr& e = expected->column(c);
+    const col::ArrayPtr& a = actual->column(c);
+    ASSERT_EQ(e->type(), a->type());
+    if (e->type() != col::TypeId::kCategorical) continue;
+    EXPECT_EQ(*e->dictionary(), *a->dictionary());
+    for (int64_t r = 0; r < e->length(); ++r) {
+      ASSERT_EQ(e->IsNull(r), a->IsNull(r));
+      if (!e->IsNull(r)) {
+        ASSERT_EQ(e->codes_data()[r], a->codes_data()[r]);
+      }
+    }
+  }
+}
+
+TEST(ParallelPipelineDriverTest, CsvSourceMatchesSerialReaderAcrossWorkers) {
+  TempCsv csv(CsvText(3000, 41));
+  io::CsvReadOptions options;
+  options.chunk_rows = 128;
+  options.dictionary_encode_strings = true;
+  options.drop_columns = {"dropme"};
+  const auto expected = SerialCsvChunks(csv.path(), options);
+  ASSERT_GT(expected.size(), 8u);
+  ASSERT_EQ(expected[0]->schema()->field(2).type, col::TypeId::kCategorical);
+
+  frame::ExecPolicy policy;  // what a chunk-parallel engine resolves
+  policy.parallel = true;
+  policy.parallel_options.mode = sim::ExecutionMode::kReal;
+  for (const char* workers : {"1", "2", "4", "8"}) {
+    SCOPED_TRACE(std::string("workers=") + workers);
+    setenv("BENTO_PIPELINE_WORKERS", workers, 1);
+    const PipelineOptions pipe = ResolvePipelineOptions(policy);
+    unsetenv("BENTO_PIPELINE_WORKERS");
+    ASSERT_EQ(pipe.workers, std::atoi(workers));
+    // The engine's source shape: prefetch ahead of the stage when threaded.
+    std::unique_ptr<ChunkStream> source =
+        CsvChunkStream::Open(csv.path(), options).ValueOrDie();
+    if (pipe.prefetch_depth > 0) {
+      source = std::make_unique<PrefetchChunkStream>(std::move(source),
+                                                     pipe.prefetch_depth);
+    }
+    ParallelPipelineDriver driver(
+        source.get(),
+        [](TablePtr chunk, int64_t seq) -> Result<TablePtr> {
+          // Scramble completion order; the chunk itself passes through.
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(seq % 3 == 0 ? 300 : 10));
+          return chunk;
+        },
+        pipe);
+    size_t out = 0;
+    while (true) {
+      auto chunk = driver.Next();
+      ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+      if (chunk.ValueOrDie() == nullptr) break;
+      ASSERT_LT(out, expected.size());
+      ExpectSameChunk(expected[out], chunk.ValueOrDie());
+      ++out;
+    }
+    EXPECT_EQ(out, expected.size());
+  }
+}
+
+TEST(PrefetchChunkStreamTest, PendingCsvChunksOutliveTheStream) {
+  TempCsv csv(CsvText(2000, 43));
+  io::CsvReadOptions options;
+  options.chunk_rows = 64;
+  const auto expected = SerialCsvChunks(csv.path(), options);
+  for (int round = 0; round < 4; ++round) {
+    PendingChunk held;
+    {
+      PrefetchChunkStream stream(
+          CsvChunkStream::Open(csv.path(), options).ValueOrDie(),
+          /*depth=*/8);
+      for (int k = 0; k < round; ++k) {
+        auto chunk = stream.Next();
+        ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+      }
+      auto pending = stream.NextPending();
+      ASSERT_TRUE(pending.ok()) << pending.status().ToString();
+      held = pending.MoveValueUnsafe();
+      // Destruction cancels the producer with cut chunks still queued; they
+      // are freed undecoded.
+    }
+    // The reader is gone with the stream, but a chunk already claimed still
+    // decodes (it shares ownership of the parsing state).
+    ASSERT_FALSE(held.end());
+    auto chunk = held.Decode();
+    ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+    test::ExpectTablesEqual(expected[static_cast<size_t>(round)],
+                            chunk.ValueOrDie());
+  }
+}
+
+TEST(PrefetchChunkStreamTest, CutCsvTextChargesPoolUnderTightBudget) {
+  // Numeric rows: each chunk's text and its decoded columns are a few KiB.
+  std::string text = "a,b,c\n";
+  for (int i = 0; i < 40000; ++i) {
+    text += std::to_string(i) + "," + std::to_string(i % 97) + ",1.5\n";
+  }
+  TempCsv csv(text);
+  io::CsvReadOptions options;
+  options.chunk_rows = 1024;
+  const uint64_t chunk_text = text.size() / 40;  // ~bytes per 1024 records
+  sim::MachineSpec tight{"tight", 4, chunk_text * 10, std::nullopt};
+  sim::Session session(tight);
+  const uint64_t baseline = session.host_pool()->bytes_allocated();
+
+  int64_t rows = 0;
+  {
+    PrefetchChunkStream stream(
+        CsvChunkStream::Open(csv.path(), options).ValueOrDie(),
+        /*depth=*/32);
+    // Before anything is decoded, the only charges are queued raw text: the
+    // peak passing one chunk's text proves the cut text is charged.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (session.host_pool()->peak_bytes() <= baseline + chunk_text &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GT(session.host_pool()->peak_bytes(), baseline + chunk_text)
+        << "queued CSV text must charge the pool";
+    while (true) {
+      auto pending = stream.NextPending();
+      ASSERT_TRUE(pending.ok()) << pending.status().ToString();
+      if (pending->end()) break;
+      EXPECT_GT(pending->bytes, 0u);
+      auto chunk = pending->Decode();
+      ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+      rows += chunk.ValueOrDie()->num_rows();
+    }
+  }
+  EXPECT_EQ(rows, 40000);
+  // Backpressure held readahead under the budget, and every byte of text
+  // was released once decoded.
+  EXPECT_LE(session.host_pool()->peak_bytes(), session.host_pool()->budget());
+  EXPECT_EQ(session.host_pool()->bytes_allocated(), baseline);
 }
 
 }  // namespace

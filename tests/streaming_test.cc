@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "engines/lazy_engine.h"
 #include "engines/spark.h"
 #include "engines/streaming_ops.h"
 #include "frame/exec.h"
+#include "io/csv.h"
 #include "kernels/encode.h"
 #include "kernels/sort.h"
 #include "sim/machine.h"
@@ -312,6 +315,70 @@ TEST(PerChunkOverheadTest, ChargesEveryClaimedChunkOnce) {
     EXPECT_NEAR(action, 10 * PerChunkEngine::kPenalty,
                 PerChunkEngine::kPenalty / 2);
   }
+}
+
+/// Spark with small, odd-sized chunks and no plan overhead.
+class SmallChunkEngine : public SparkSqlEngine {
+ public:
+  int64_t ChunkRows() const override { return 97; }
+  double PlanOverheadSeconds() const override { return 0.0; }
+};
+
+/// A CSV source cuts text on the claim path and parses it on the pipeline
+/// workers. The plan's output must match the same plan over the table that
+/// ReadCsv decodes, with one and four workers, real and modeled, with the
+/// group-by materialized and streamed (tight budget).
+TEST(CsvSourceTest, WorkerDecodedCsvMatchesTableSource) {
+  const std::string path =
+      "/tmp/bento_streaming_csv_" + std::to_string(getpid()) + ".csv";
+  ASSERT_TRUE(io::WriteCsv(RandomTable(6000, 29), path).ok());
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, 0, SEEK_END);
+  const uint64_t file_bytes = static_cast<uint64_t>(std::ftell(f));
+  std::fclose(f);
+
+  SmallChunkEngine engine;
+  LazySource csv;
+  csv.kind = LazySource::Kind::kCsv;
+  csv.path = path;
+  LazySource table;
+  table.kind = LazySource::Kind::kTable;
+  table.table = io::ReadCsv(path).ValueOrDie();
+  const std::vector<std::vector<Op>> plans = {
+      {Op::Query("k >= 3"), Op::StrLower("s")},
+      {Op::Query("k >= 3"),
+       Op::GroupByAgg({"k"}, {{"v", kern::AggKind::kMin, "v_min"},
+                              {"v", kern::AggKind::kMax, "v_max"},
+                              {"v", kern::AggKind::kCount, "v_cnt"}})},
+  };
+  // Unbounded, and under a budget that makes the CSV source memory-tight
+  // (the group-by then streams, fused with the filter on the workers).
+  const std::vector<sim::MachineSpec> machines = {
+      sim::MachineSpec{},
+      sim::MachineSpec{"tight", 4, file_bytes * 4, std::nullopt}};
+  for (const sim::ExecutionMode mode :
+       {sim::ExecutionMode::kSimulated, sim::ExecutionMode::kReal}) {
+    for (const char* workers : {"1", "4"}) {
+      for (const sim::MachineSpec& machine : machines) {
+        SCOPED_TRACE(std::string(workers) + " workers, " + machine.name +
+                     (mode == sim::ExecutionMode::kReal ? ", real"
+                                                        : ", modeled"));
+        PipelineWorkersEnv env(workers);
+        sim::Session session(machine);
+        session.set_execution_mode(mode);
+        for (const std::vector<Op>& plan : plans) {
+          auto expected = engine.Execute(table, plan);
+          ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+          auto streamed = engine.Execute(csv, plan);
+          ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+          test::ExpectTablesEqual(expected.ValueOrDie(),
+                                  streamed.ValueOrDie());
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ObjectStringModelTest, PandasChargesBoxingOverhead) {
