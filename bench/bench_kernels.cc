@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the shared compute kernels — the
 // per-op cost drivers behind the figure-level results (ablation material:
-// metadata vs scan null probes, columnar vs object strings, serial vs
-// partitioned group-by).
+// metadata vs scan null probes, columnar vs object strings, one worker vs
+// many on the same kernel entry point).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -92,6 +92,8 @@ void BM_ContainsRowObjects(benchmark::State& state) {
 }
 BENCHMARK(BM_ContainsRowObjects)->Arg(100000);
 
+// BM_SortSerial and BM_GroupBySerial time the one-worker run (the default
+// options) of the sort and group-by entry points.
 void BM_SortSerial(benchmark::State& state) {
   auto t = BenchTable(state.range(0));
   for (auto _ : state) {
@@ -113,18 +115,44 @@ void BM_GroupBySerial(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupBySerial)->Arg(50000);
 
-void BM_GroupByPartitioned(benchmark::State& state) {
+// Eight simulated workers and no Session: the partitions run one after
+// another on this thread, so this times the 8-partition work, not a speedup.
+void BM_GroupBySim8(benchmark::State& state) {
   auto t = BenchTable(state.range(0));
   std::vector<kern::AggSpec> aggs = {{"v", kern::AggKind::kMean, "m"}};
   sim::ParallelOptions opts;
   opts.max_workers = 8;
   for (auto _ : state) {
-    auto grouped = kern::GroupByPartitioned(t, {"k"}, aggs, opts);
+    auto grouped = kern::GroupBy(t, {"k"}, aggs, opts);
     benchmark::DoNotOptimize(grouped);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_GroupByPartitioned)->Arg(50000);
+BENCHMARK(BM_GroupBySim8)->Arg(50000);
+
+// The sized gather every sort, join, dedup and group-by output goes
+// through, at one worker (the serial callers) and four real workers.
+void BM_TakeTable(benchmark::State& state) {
+  auto t = BenchTable(state.range(0));
+  Rng rng(5);
+  std::vector<int64_t> indices(static_cast<size_t>(state.range(0)));
+  for (auto& i : indices) i = rng.UniformInt(0, state.range(0) - 1);
+  sim::ParallelOptions opts;
+  opts.mode = sim::ExecutionMode::kReal;
+  opts.max_workers = static_cast<int>(state.range(1));
+  for (auto _ : state) {
+    auto taken = kern::TakeTable(t, indices, opts);
+    benchmark::DoNotOptimize(taken);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TakeTable)
+    ->Args({64, 1})
+    ->Args({64, 4})
+    ->Args({4096, 1})
+    ->Args({4096, 4})
+    ->Args({1000000, 1})
+    ->Args({1000000, 4});
 
 // --- real execution backend (ExecutionMode::kReal) ------------------------
 //
@@ -148,7 +176,7 @@ void BM_GroupByReal(benchmark::State& state) {
   std::vector<kern::AggSpec> aggs = {{"v", kern::AggKind::kMean, "m"}};
   auto opts = RealOptions(static_cast<int>(state.range(1)));
   for (auto _ : state) {
-    auto grouped = kern::GroupByPartitioned(t, {"k"}, aggs, opts);
+    auto grouped = kern::GroupBy(t, {"k"}, aggs, opts);
     benchmark::DoNotOptimize(grouped);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -159,7 +187,7 @@ void BM_SortReal(benchmark::State& state) {
   auto t = BenchTable(state.range(0));
   auto opts = RealOptions(static_cast<int>(state.range(1)));
   for (auto _ : state) {
-    auto indices = kern::ArgSortParallel(t, {{"k", true}}, opts);
+    auto indices = kern::ArgSort(t, {{"k", true}}, opts);
     benchmark::DoNotOptimize(indices);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -210,7 +238,7 @@ void BM_JoinBuildFlatRadix(benchmark::State& state) {
   sim::ParallelOptions opts;
   opts.mode = sim::ExecutionMode::kReal;
   opts.max_workers = static_cast<int>(state.range(1));
-  auto hashes = kern::HashRowsParallel(t, {"k"}, opts).ValueOrDie();
+  auto hashes = kern::HashRows(t, {"k"}, opts).ValueOrDie();
   for (auto _ : state) {
     kern::FlatIndex index;
     Status st = index.BuildPartitioned(
@@ -292,7 +320,7 @@ BENCHMARK(BM_GroupByBuildNodeMap)
 // The pairs below isolate the three morsel-driven parallel kernels this
 // repo's real execution mode runs: thread-local group-by states, the
 // prefix-sum join probe, and the splitter-based run merge. The /1 variant
-// is the serial fallback of the same entry point, so each pair is a direct
+// is the one-worker run of the same entry point, so each pair is a direct
 // parallel-vs-serial A/B on identical data.
 
 void BM_GroupByMorsel(benchmark::State& state) {
@@ -315,7 +343,7 @@ void BM_GroupByMorsel(benchmark::State& state) {
                                      {"v", kern::AggKind::kCount, "n"}};
   auto opts = RealOptions(static_cast<int>(state.range(1)));
   for (auto _ : state) {
-    auto grouped = kern::GroupByPartitioned(t, {"k"}, aggs, opts);
+    auto grouped = kern::GroupBy(t, {"k"}, aggs, opts);
     benchmark::DoNotOptimize(grouped);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -341,7 +369,7 @@ void BM_JoinProbeParallel(benchmark::State& state) {
                    .ValueOrDie();
   auto opts = RealOptions(static_cast<int>(state.range(1)));
   for (auto _ : state) {
-    auto joined = kern::HashJoinParallel(left, right, "k", "k", {}, opts);
+    auto joined = kern::HashJoin(left, right, "k", "k", {}, opts);
     benchmark::DoNotOptimize(joined);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -504,7 +532,7 @@ void BM_JoinReal(benchmark::State& state) {
                    .ValueOrDie();
   auto opts = RealOptions(static_cast<int>(state.range(1)));
   for (auto _ : state) {
-    auto joined = kern::HashJoinParallel(left, right, "k", "k", {}, opts);
+    auto joined = kern::HashJoin(left, right, "k", "k", {}, opts);
     benchmark::DoNotOptimize(joined);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -569,7 +597,7 @@ bool ParseCheckScalingArg(int* argc, char** argv) {
 }
 
 /// The multi-worker regression gate: the 4-worker morsel kernels must not
-/// run slower (wall clock) than their serial 1-worker twins on identical
+/// run slower (wall clock) than their own 1-worker runs on identical
 /// data — the seed's partitioned group-by was 4.5x *slower*, which this
 /// check would have caught. A small tolerance absorbs timer noise on
 /// single-core hosts, where the best possible wall ratio is ~1.0.

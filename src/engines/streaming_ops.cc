@@ -453,15 +453,8 @@ Status ExternalSortImpl(ChunkStream* input,
     BENTO_ASSIGN_OR_RETURN(auto run_table, col::ConcatTablesReleasing(&pending));
     pending_rows = 0;
     pending_bytes = 0;
-    TablePtr sorted;
-    if (policy.parallel) {
-      BENTO_ASSIGN_OR_RETURN(
-          auto indices,
-          kern::ArgSortParallel(run_table, keys, policy.parallel_options));
-      BENTO_ASSIGN_OR_RETURN(sorted, kern::TakeTable(run_table, indices));
-    } else {
-      BENTO_ASSIGN_OR_RETURN(sorted, kern::SortTable(run_table, keys));
-    }
+    BENTO_ASSIGN_OR_RETURN(
+        auto sorted, kern::SortTable(run_table, keys, policy.KernelOptions()));
     run_table.reset();
     const int partition = store->AddPartition();
     // During the k-way merge every run keeps one frame resident, so frames

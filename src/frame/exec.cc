@@ -77,17 +77,6 @@ Result<TablePtr> MaybeCopy(Result<TablePtr> result, const ExecPolicy& policy) {
   return DeepCopyTable(result.ValueOrDie());
 }
 
-Result<TablePtr> DoSort(const TablePtr& table, const Op& op,
-                        const ExecPolicy& policy) {
-  if (policy.parallel) {
-    BENTO_ASSIGN_OR_RETURN(
-        auto indices,
-        kern::ArgSortParallel(table, op.sort_keys, policy.parallel_options));
-    return kern::TakeTableParallel(table, indices, policy.parallel_options);
-  }
-  return kern::SortTable(table, op.sort_keys);
-}
-
 Result<TablePtr> DoQuery(const TablePtr& table, const Op& op) {
   BENTO_ASSIGN_OR_RETURN(auto expr, expr::ParseExpr(op.text));
   BENTO_ASSIGN_OR_RETURN(auto mask, expr::Evaluate(expr, table));
@@ -122,15 +111,9 @@ Result<TablePtr> DoApplyRow(const TablePtr& table, const Op& op,
           table->num_rows() *
           (policy.row_apply_object_bytes * table->num_columns() +
            series_bytes)));
-  ArrayPtr result;
-  if (policy.parallel) {
-    BENTO_ASSIGN_OR_RETURN(
-        result, kern::ApplyRowsParallel(table, op.row_fn, op.row_fn_type,
-                                        policy.parallel_options));
-  } else {
-    BENTO_ASSIGN_OR_RETURN(result,
-                           kern::ApplyRows(table, op.row_fn, op.row_fn_type));
-  }
+  BENTO_ASSIGN_OR_RETURN(auto result,
+                         kern::ApplyRows(table, op.row_fn, op.row_fn_type,
+                                         policy.KernelOptions()));
   return table->SetColumn(op.new_name, result);
 }
 
@@ -140,20 +123,8 @@ Result<TablePtr> DoMerge(const TablePtr& table, const Op& op,
   BENTO_ASSIGN_OR_RETURN(auto right, op.other->Collect());
   kern::JoinOptions jopts;
   jopts.type = op.join_type;
-  if (policy.parallel) {
-    return kern::HashJoinParallel(table, right, op.left_key, op.right_key,
-                                  jopts, policy.parallel_options);
-  }
-  return kern::HashJoin(table, right, op.left_key, op.right_key, jopts);
-}
-
-Result<TablePtr> DoGroupBy(const TablePtr& table, const Op& op,
-                           const ExecPolicy& policy) {
-  if (policy.parallel) {
-    return kern::GroupByPartitioned(table, op.columns, op.aggs,
-                                    policy.parallel_options);
-  }
-  return kern::GroupBy(table, op.columns, op.aggs);
+  return kern::HashJoin(table, right, op.left_key, op.right_key, jopts,
+                        policy.KernelOptions());
 }
 
 Result<TablePtr> ReplaceColumn(
@@ -244,7 +215,8 @@ Result<col::TablePtr> ExecTransform(const col::TablePtr& table, const Op& op,
   BENTO_TRACE_SPAN(kEngine, OpKindName(op.kind));
   switch (op.kind) {
     case OpKind::kSortValues:
-      return MaybeCopy(DoSort(table, op, policy), policy);
+      return MaybeCopy(
+          kern::SortTable(table, op.sort_keys, policy.KernelOptions()), policy);
     case OpKind::kQuery:
       return MaybeCopy(DoQuery(table, op), policy);
     case OpKind::kCast:
@@ -269,7 +241,7 @@ Result<col::TablePtr> ExecTransform(const col::TablePtr& table, const Op& op,
     case OpKind::kCatCodes:
       return MaybeCopy(ReplaceColumn(table, op.column, kern::CatCodes), policy);
     case OpKind::kGroupByAgg:
-      return DoGroupBy(table, op, policy);
+      return kern::GroupBy(table, op.columns, op.aggs, policy.KernelOptions());
     case OpKind::kToDatetime:
       return MaybeCopy(ReplaceColumn(table, op.column,
                                      [](const ArrayPtr& c) {
@@ -292,12 +264,9 @@ Result<col::TablePtr> ExecTransform(const col::TablePtr& table, const Op& op,
                                      }),
                        policy);
     case OpKind::kDropDuplicates:
-      if (policy.parallel) {
-        return MaybeCopy(kern::DropDuplicatesParallel(table, op.columns,
-                                                      policy.parallel_options),
-                         policy);
-      }
-      return MaybeCopy(kern::DropDuplicates(table, op.columns), policy);
+      return MaybeCopy(
+          kern::DropDuplicates(table, op.columns, policy.KernelOptions()),
+          policy);
     case OpKind::kFillNa:
       return MaybeCopy(
           ReplaceColumn(table, op.column,
@@ -402,15 +371,9 @@ Result<ActionResult> ExecAction(const col::TablePtr& table, const Op& op,
       return result;
     }
     case OpKind::kDescribe: {
-      if (policy.parallel) {
-        BENTO_ASSIGN_OR_RETURN(
-            result.table,
-            kern::DescribeParallel(table, policy.approx_quantile,
-                                   policy.parallel_options));
-      } else {
-        BENTO_ASSIGN_OR_RETURN(result.table,
-                               kern::Describe(table, policy.approx_quantile));
-      }
+      BENTO_ASSIGN_OR_RETURN(
+          result.table,
+          kern::Describe(table, policy.approx_quantile, policy.KernelOptions()));
       return result;
     }
     default:

@@ -17,7 +17,7 @@ namespace bento::frame {
 struct ExecPolicy {
   kern::NullProbe null_probe = kern::NullProbe::kMetadata;
   kern::StringEngine string_engine = kern::StringEngine::kColumnar;
-  /// Use chunk/partition-parallel kernel variants.
+  /// Fan kernels out over `parallel_options`; false runs them at one worker.
   bool parallel = false;
   sim::ParallelOptions parallel_options;
   /// Bytes of boxed per-cell overhead staged during row-wise apply (the
@@ -35,6 +35,13 @@ struct ExecPolicy {
   /// transform (the eager Pandas chained-assignment model): doubles the
   /// transient footprint, which the lazy engines avoid.
   bool copy_outputs = false;
+
+  /// The options every kernel call runs with: `parallel_options` when
+  /// `parallel`, else one worker. The one place that maps parallel=false
+  /// to the serial path.
+  sim::ParallelOptions KernelOptions() const {
+    return parallel ? parallel_options : sim::kOneWorker;
+  }
 };
 
 /// \brief Executes one transform preparator on a materialized table.

@@ -306,41 +306,6 @@ Result<col::TablePtr> ParseRecords(std::string_view body,
   return col::Table::Make(schema, std::move(columns));
 }
 
-/// Resolved form of CsvReadOptions::drop_columns: the projected schema and,
-/// per kept column, the index of its field in the raw record.
-struct CsvProjection {
-  col::SchemaPtr schema;
-  std::vector<size_t> field_map;
-  bool active = false;
-};
-
-Result<CsvProjection> ResolveDropColumns(const col::SchemaPtr& full,
-                                         const CsvReadOptions& options) {
-  CsvProjection proj;
-  proj.schema = full;
-  if (options.drop_columns.empty()) return proj;
-  std::set<std::string> drop;
-  for (const std::string& name : options.drop_columns) {
-    if (full->IndexOf(name) < 0) {
-      return Status::KeyError("no column named '", name, "'");
-    }
-    drop.insert(name);
-  }
-  std::vector<col::Field> fields;
-  for (int c = 0; c < full->num_fields(); ++c) {
-    const col::Field& f = full->fields()[static_cast<size_t>(c)];
-    if (drop.count(f.name) != 0) continue;
-    fields.push_back(f);
-    proj.field_map.push_back(static_cast<size_t>(c));
-  }
-  proj.schema = std::make_shared<col::Schema>(std::move(fields));
-  proj.active = true;
-  static obs::Counter* skipped =
-      obs::MetricsRegistry::Global().counter("io.csv.columns_skipped");
-  skipped->Add(static_cast<int64_t>(drop.size()));
-  return proj;
-}
-
 struct HeaderInfo {
   std::vector<std::string> names;
   size_t body_offset = 0;  // offset of the first data record
@@ -384,6 +349,53 @@ col::SchemaPtr InferFromBody(std::string_view body,
       },
       options.infer_rows);
   return InferSchema(names, sample, options);
+}
+
+/// Resolved read schema: the file schema minus CsvReadOptions::drop_columns
+/// and, per kept column, the index of its field in the raw record.
+struct CsvProjection {
+  col::SchemaPtr schema;
+  std::vector<size_t> field_map;
+  bool active = false;
+};
+
+/// The one schema resolution every reader (ReadCsv, ReadCsvMmap,
+/// CsvChunkReader) runs: infers the file schema from `body` or checks that
+/// an explicit one has one field per header column, then applies
+/// drop_columns.
+Result<CsvProjection> ResolveSchema(std::string_view body,
+                                    const HeaderInfo& header,
+                                    const CsvReadOptions& options) {
+  col::SchemaPtr full = options.schema;
+  if (full == nullptr) {
+    full = InferFromBody(body, header.names, options);
+  } else if (static_cast<size_t>(full->num_fields()) != header.names.size()) {
+    return Status::Invalid("explicit schema has ", full->num_fields(),
+                           " fields, file has ", header.names.size());
+  }
+  CsvProjection proj;
+  proj.schema = full;
+  if (options.drop_columns.empty()) return proj;
+  std::set<std::string> drop;
+  for (const std::string& name : options.drop_columns) {
+    if (full->IndexOf(name) < 0) {
+      return Status::KeyError("no column named '", name, "'");
+    }
+    drop.insert(name);
+  }
+  std::vector<col::Field> fields;
+  for (int c = 0; c < full->num_fields(); ++c) {
+    const col::Field& f = full->fields()[static_cast<size_t>(c)];
+    if (drop.count(f.name) != 0) continue;
+    fields.push_back(f);
+    proj.field_map.push_back(static_cast<size_t>(c));
+  }
+  proj.schema = std::make_shared<col::Schema>(std::move(fields));
+  proj.active = true;
+  static obs::Counter* skipped =
+      obs::MetricsRegistry::Global().counter("io.csv.columns_skipped");
+  skipped->Add(static_cast<int64_t>(drop.size()));
+  return proj;
 }
 
 Result<std::string> SlurpFile(const std::string& path) {
@@ -454,15 +466,8 @@ Result<col::TablePtr> ReadCsv(const std::string& path,
   HeaderInfo header = ReadHeader(content, options);
   std::string_view body =
       std::string_view(content).substr(header.body_offset);
-  col::SchemaPtr schema = options.schema;
-  if (schema == nullptr) {
-    schema = InferFromBody(body, header.names, options);
-  } else if (static_cast<size_t>(schema->num_fields()) != header.names.size()) {
-    return Status::Invalid("explicit schema has ", schema->num_fields(),
-                           " fields, file has ", header.names.size());
-  }
   BENTO_ASSIGN_OR_RETURN(CsvProjection proj,
-                         ResolveDropColumns(schema, options));
+                         ResolveSchema(body, header, options));
   return ParseRecords(body, proj.schema, options,
                       proj.active ? &proj.field_map : nullptr);
 }
@@ -499,11 +504,9 @@ Result<col::TablePtr> ReadCsvMmap(const std::string& path,
   std::string_view text(static_cast<const char*>(mapped), size);
   HeaderInfo header = ReadHeader(text, options);
   std::string_view body = text.substr(header.body_offset);
-  col::SchemaPtr schema = options.schema;
-  if (schema == nullptr) schema = InferFromBody(body, header.names, options);
   BENTO_ASSIGN_OR_RETURN(CsvProjection proj,
-                         ResolveDropColumns(schema, options));
-  schema = proj.schema;
+                         ResolveSchema(body, header, options));
+  const col::SchemaPtr schema = proj.schema;
   const std::vector<size_t>* field_map =
       proj.active ? &proj.field_map : nullptr;
 
@@ -573,11 +576,8 @@ Result<std::unique_ptr<CsvChunkReader>> CsvChunkReader::Open(
   reader->eof_ = got < (1 << 20);
   HeaderInfo header = ReadHeader(prefix, options);
   std::string_view body = std::string_view(prefix).substr(header.body_offset);
-  col::SchemaPtr full = options.schema != nullptr
-                            ? options.schema
-                            : InferFromBody(body, header.names, options);
   BENTO_ASSIGN_OR_RETURN(CsvProjection proj,
-                         ResolveDropColumns(full, options));
+                         ResolveSchema(body, header, options));
   reader->schema_ = proj.schema;
   if (proj.active) reader->field_map_ = std::move(proj.field_map);
   prefix.erase(0, header.body_offset);

@@ -75,39 +75,26 @@ Result<ArrayPtr> ScalarColumnAssembler::Finish() {
 }
 
 Result<ArrayPtr> ApplyRows(const TablePtr& table, const RowFn& fn,
-                           TypeId out_type) {
-  ScalarColumnAssembler assembler(out_type);
-  for (int64_t i = 0; i < table->num_rows(); ++i) {
-    BENTO_ASSIGN_OR_RETURN(Scalar s, fn(*table, i));
-    BENTO_RETURN_NOT_OK(assembler.Append(s));
-  }
-  return assembler.Finish();
-}
-
-Result<ArrayPtr> ApplyRowsParallel(const TablePtr& table, const RowFn& fn,
-                                   TypeId out_type,
-                                   const sim::ParallelOptions& options) {
-  int workers = options.max_workers;
-  if (workers <= 0) {
-    workers = sim::Session::Current() != nullptr
-                  ? sim::Session::Current()->cores()
-                  : 1;
-  }
-  auto ranges = sim::SplitRange(table->num_rows(), workers, 4096);
-  if (ranges.size() <= 1) return ApplyRows(table, fn, out_type);
+                           TypeId out_type,
+                           const sim::ParallelOptions& options) {
+  auto eval = [&](int64_t b, int64_t e) -> Result<ArrayPtr> {
+    ScalarColumnAssembler assembler(out_type);
+    for (int64_t i = b; i < e; ++i) {
+      BENTO_ASSIGN_OR_RETURN(Scalar s, fn(*table, i));
+      BENTO_RETURN_NOT_OK(assembler.Append(s));
+    }
+    return assembler.Finish();
+  };
+  auto ranges =
+      sim::SplitRange(table->num_rows(), sim::ResolveWorkers(options), 4096);
+  if (ranges.size() <= 1) return eval(0, table->num_rows());
 
   std::vector<ArrayPtr> parts(ranges.size());
   BENTO_RETURN_NOT_OK(sim::ParallelFor(
       static_cast<int64_t>(ranges.size()),
       [&](int64_t r) -> Status {
         auto [b, e] = ranges[static_cast<size_t>(r)];
-        ScalarColumnAssembler assembler(out_type);
-        for (int64_t i = b; i < e; ++i) {
-          BENTO_ASSIGN_OR_RETURN(Scalar s, fn(*table, i));
-          BENTO_RETURN_NOT_OK(assembler.Append(s));
-        }
-        BENTO_ASSIGN_OR_RETURN(parts[static_cast<size_t>(r)],
-                               assembler.Finish());
+        BENTO_ASSIGN_OR_RETURN(parts[static_cast<size_t>(r)], eval(b, e));
         return Status::OK();
       },
       options));

@@ -16,14 +16,12 @@ using RowFn = std::function<Result<Scalar>(const Table&, int64_t row)>;
 /// column of `out_type`. This is the slowest preparator family in the paper
 /// (Pandas goes out of memory on Patrol with it) because every row crosses
 /// the scalar boundary — we reproduce that by materializing a boxed Scalar
-/// per row.
+/// per row. Wider runs evaluate row chunks through sim::ParallelFor (the
+/// multithreaded engines) and concatenate them in order; one worker (the
+/// default) evaluates one chunk.
 Result<ArrayPtr> ApplyRows(const TablePtr& table, const RowFn& fn,
-                           TypeId out_type);
-
-/// \brief Chunk-parallel row-wise apply (multithreaded engines).
-Result<ArrayPtr> ApplyRowsParallel(const TablePtr& table, const RowFn& fn,
-                                   TypeId out_type,
-                                   const sim::ParallelOptions& options = {});
+                           TypeId out_type,
+                           const sim::ParallelOptions& options = sim::kOneWorker);
 
 /// \brief Appends scalars produced row-by-row into a typed column.
 /// Exposed for engines that stream chunks themselves.

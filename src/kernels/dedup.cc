@@ -1,7 +1,6 @@
 #include "kernels/dedup.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "kernels/flat_index.h"
 #include "kernels/row_hash.h"
@@ -9,175 +8,53 @@
 
 namespace bento::kern {
 
-namespace {
-
-/// First-sighting rows of `table` over `equal_cols`, computed with the
-/// morsel partition-scan: scatter rows (minus `skip`-ped ones) to radix
-/// partitions of the top hash bits, record first sightings per partition in
-/// global row order, then merge the ascending keep lists. Partitions hold
-/// disjoint keys, so the union of first sightings equals the serial scan's.
-template <typename Skip>
-Result<std::vector<int64_t>> DistinctRowsPartitioned(
-    const TablePtr& table, const std::vector<std::string>& hash_cols,
-    const std::vector<std::string>& equal_cols, Skip&& skip,
-    const sim::ParallelOptions& options) {
+Result<TablePtr> DropDuplicates(const TablePtr& table,
+                                const std::vector<std::string>& subset,
+                                const sim::ParallelOptions& options) {
+  BENTO_TRACE_SPAN(kKernel, "dedup");
+  std::vector<std::string> cols = subset;
+  if (cols.empty()) cols = table->schema()->names();
   const int64_t n = table->num_rows();
-  const int workers = sim::ResolveWorkers(options);
-  BENTO_ASSIGN_OR_RETURN(auto hashes,
-                         HashRowsParallel(table, hash_cols, options));
-  BENTO_ASSIGN_OR_RETURN(auto equal,
-                         RowEquality::Make(table, equal_cols, table, equal_cols));
+  BENTO_ASSIGN_OR_RETURN(auto hashes, HashRows(table, subset, options));
+  BENTO_ASSIGN_OR_RETURN(auto equal, RowEquality::Make(table, cols, table, cols));
 
+  // Scatter rows to radix partitions of the top hash bits, record first
+  // sightings per partition in global row order, then merge the ascending
+  // keep lists. Partitions hold disjoint keys, so the union of first
+  // sightings is the same for any partition count.
   const int parts = FlatIndex::PlanPartitions(n, options);
-  int part_bits = 0;
-  while ((1 << part_bits) < parts) ++part_bits;
-  const int shift = 64 - part_bits;
-
-  std::vector<std::pair<int64_t, int64_t>> morsels;
-  std::vector<std::vector<int64_t>> buckets;  // [morsel * parts + partition]
-  if (parts > 1) {
-    morsels = sim::MorselRanges(n, workers);
-    buckets.assign(morsels.size() * static_cast<size_t>(parts), {});
-    BENTO_RETURN_NOT_OK(sim::ParallelFor(
-        static_cast<int64_t>(morsels.size()),
-        [&](int64_t m) -> Status {
-          const auto [b, e] = morsels[static_cast<size_t>(m)];
-          std::vector<int64_t>* local =
-              &buckets[static_cast<size_t>(m) * static_cast<size_t>(parts)];
-          for (int p = 0; p < parts; ++p) {
-            local[p].reserve(static_cast<size_t>((e - b) / parts + 8));
-          }
-          for (int64_t i = b; i < e; ++i) {
-            if (skip(i)) continue;
-            local[hashes[static_cast<size_t>(i)] >> shift].push_back(i);
-          }
-          return Status::OK();
-        },
-        options));
-  }
+  BENTO_ASSIGN_OR_RETURN(auto rows, RadixRows::Scatter(hashes, parts, options));
 
   std::vector<std::vector<int64_t>> part_keep(static_cast<size_t>(parts));
-  BENTO_RETURN_NOT_OK(sim::ParallelFor(
+  BENTO_RETURN_NOT_OK(sim::ParallelForOrInline(
       parts,
       [&](int64_t p) -> Status {
         BENTO_TRACE_SPAN(kKernel, "dedup.morsel.partition");
         FlatGrouper seen(n / (8 * parts) + 16);
         auto& keep = part_keep[static_cast<size_t>(p)];
-        auto consume = [&](int64_t i) {
+        auto consume = [&, row_hash = hashes.data()](int64_t i) {
           const int64_t before = seen.num_groups();
           seen.FindOrInsert(
-              hashes[static_cast<size_t>(i)], i,
+              row_hash[i], i,
               [&](int64_t a, int64_t b) { return equal.Equal(a, b); });
-          if (seen.num_groups() != before) keep.push_back(i);
+          if (seen.num_groups() != before) keep.push_back(i);  // first sighting
         };
-        if (parts == 1) {
-          for (int64_t i = 0; i < n; ++i) {
-            if (!skip(i)) consume(i);
-          }
-        } else {
-          for (size_t m = 0; m < morsels.size(); ++m) {
-            for (int64_t i :
-                 buckets[m * static_cast<size_t>(parts) + static_cast<size_t>(p)]) {
-              consume(i);
-            }
-          }
-        }
+        rows.ForEachRow(static_cast<int>(p), consume);
         return Status::OK();
       },
       options));
 
   // Per-partition keep lists are ascending (scan follows global row order);
   // pairwise merges restore the single ascending first-seen list.
-  std::vector<int64_t> keep_rows;
-  for (const auto& keep : part_keep) {
-    if (keep_rows.empty()) {
-      keep_rows = keep;
-      continue;
-    }
+  std::vector<int64_t> keep_rows = std::move(part_keep[0]);
+  for (size_t p = 1; p < part_keep.size(); ++p) {
+    const auto& keep = part_keep[p];
     std::vector<int64_t> merged(keep_rows.size() + keep.size());
     std::merge(keep_rows.begin(), keep_rows.end(), keep.begin(), keep.end(),
                merged.begin());
     keep_rows = std::move(merged);
   }
-  return keep_rows;
-}
-
-}  // namespace
-
-Result<TablePtr> DropDuplicates(const TablePtr& table,
-                                const std::vector<std::string>& subset) {
-  BENTO_ASSIGN_OR_RETURN(auto hashes, HashRows(table, subset));
-  std::vector<std::string> cols = subset;
-  if (cols.empty()) cols = table->schema()->names();
-  BENTO_ASSIGN_OR_RETURN(auto equal, RowEquality::Make(table, cols, table, cols));
-
-  const int64_t n = table->num_rows();
-  FlatGrouper seen(n / 8 + 16);
-  std::vector<int64_t> keep_rows;
-  for (int64_t i = 0; i < n; ++i) {
-    const int64_t before = seen.num_groups();
-    seen.FindOrInsert(hashes[static_cast<size_t>(i)], i,
-                      [&](int64_t a, int64_t b) { return equal.Equal(a, b); });
-    if (seen.num_groups() != before) keep_rows.push_back(i);  // first sighting
-  }
-  return TakeTable(table, keep_rows);
-}
-
-Result<TablePtr> DropDuplicatesParallel(const TablePtr& table,
-                                        const std::vector<std::string>& subset,
-                                        const sim::ParallelOptions& options) {
-  BENTO_TRACE_SPAN(kKernel, "dedup.parallel");
-  const int workers = sim::ResolveWorkers(options);
-  if (workers <= 1 || table->num_rows() < 8192) {
-    return DropDuplicates(table, subset);
-  }
-  std::vector<std::string> cols = subset;
-  if (cols.empty()) cols = table->schema()->names();
-  BENTO_ASSIGN_OR_RETURN(
-      auto keep_rows,
-      DistinctRowsPartitioned(table, subset, cols,
-                              [](int64_t) { return false; }, options));
-  return TakeTableParallel(table, keep_rows, options);
-}
-
-Result<ArrayPtr> Unique(const ArrayPtr& values) {
-  // Reuse row machinery through a single-column table; nulls are dropped
-  // during the dedup scan itself (Unique reports non-null values), not via
-  // a mask + Filter pass over the distinct result.
-  auto schema = std::make_shared<col::Schema>(
-      std::vector<col::Field>{{"v", values->type()}});
-  BENTO_ASSIGN_OR_RETURN(auto table, Table::Make(schema, {values}));
-  BENTO_ASSIGN_OR_RETURN(auto hashes, HashRows(table, {"v"}));
-  BENTO_ASSIGN_OR_RETURN(auto equal,
-                         RowEquality::Make(table, {"v"}, table, {"v"}));
-
-  const int64_t n = values->length();
-  FlatGrouper seen(n / 8 + 16);
-  std::vector<int64_t> keep_rows;
-  for (int64_t i = 0; i < n; ++i) {
-    if (values->IsNull(i)) continue;
-    const int64_t before = seen.num_groups();
-    seen.FindOrInsert(hashes[static_cast<size_t>(i)], i,
-                      [&](int64_t a, int64_t b) { return equal.Equal(a, b); });
-    if (seen.num_groups() != before) keep_rows.push_back(i);
-  }
-  return Take(values, keep_rows);
-}
-
-Result<ArrayPtr> UniqueParallel(const ArrayPtr& values,
-                                const sim::ParallelOptions& options) {
-  BENTO_TRACE_SPAN(kKernel, "unique.parallel");
-  const int workers = sim::ResolveWorkers(options);
-  if (workers <= 1 || values->length() < 8192) return Unique(values);
-  auto schema = std::make_shared<col::Schema>(
-      std::vector<col::Field>{{"v", values->type()}});
-  BENTO_ASSIGN_OR_RETURN(auto table, Table::Make(schema, {values}));
-  BENTO_ASSIGN_OR_RETURN(
-      auto keep_rows,
-      DistinctRowsPartitioned(table, {"v"}, {"v"},
-                              [&](int64_t i) { return values->IsNull(i); },
-                              options));
-  return TakeParallel(values, keep_rows, options);
+  return TakeTable(table, keep_rows, options);
 }
 
 }  // namespace bento::kern

@@ -11,27 +11,16 @@ namespace bento::kern {
 
 /// \brief `drop_duplicates`: keeps the first occurrence of each distinct row
 /// over `subset` columns (all columns when empty). Order-preserving.
-Result<TablePtr> DropDuplicates(const TablePtr& table,
-                                const std::vector<std::string>& subset = {});
-
-/// \brief Morsel-parallel DropDuplicates: rows radix-partition on the top
-/// key-hash bits, each partition records its first sightings in a private
-/// FlatGrouper (scanning in global row order), and the ascending per-
-/// partition keep lists merge back into one ascending list — identical
-/// rows-kept and order to the serial kernel for any worker count. The
-/// surviving rows materialize through the sized parallel gather.
-Result<TablePtr> DropDuplicatesParallel(
+///
+/// Rows radix-partition on the top key-hash bits, each partition records
+/// its first sightings in a private FlatGrouper (scanning in global row
+/// order), and the ascending per-partition keep lists merge back into one
+/// ascending list, so rows kept and their order are the same for every
+/// worker count. One worker (the default) scans a single partition. The
+/// surviving rows materialize through the sized gather.
+Result<TablePtr> DropDuplicates(
     const TablePtr& table, const std::vector<std::string>& subset = {},
-    const sim::ParallelOptions& options = {});
-
-/// \brief Distinct non-null values of one column, in first-seen order
-/// (`unique()`; used by one-hot encoding and EDA).
-Result<ArrayPtr> Unique(const ArrayPtr& values);
-
-/// \brief Parallel Unique with the same partition-scan shape as
-/// DropDuplicatesParallel; output is identical to Unique.
-Result<ArrayPtr> UniqueParallel(const ArrayPtr& values,
-                                const sim::ParallelOptions& options = {});
+    const sim::ParallelOptions& options = sim::kOneWorker);
 
 }  // namespace bento::kern
 

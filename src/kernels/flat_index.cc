@@ -61,6 +61,35 @@ int FlatIndex::PartShiftFor(int parts) {
   return 64 - bits;
 }
 
+Result<RadixRows> RadixRows::Scatter(const std::vector<uint64_t>& hashes,
+                                     int parts,
+                                     const sim::ParallelOptions& options) {
+  RadixRows out;
+  out.parts_ = parts;
+  out.rows_ = static_cast<int64_t>(hashes.size());
+  if (parts <= 1) return out;
+  const int shift = FlatIndex::PartShiftFor(parts);
+  const auto morsels = sim::MorselRanges(out.rows_, sim::ResolveWorkers(options));
+  out.morsels_ = morsels.size();
+  out.buckets_.assign(morsels.size() * static_cast<size_t>(parts), {});
+  BENTO_RETURN_NOT_OK(sim::ParallelFor(
+      static_cast<int64_t>(morsels.size()),
+      [&](int64_t m) -> Status {
+        const auto [b, e] = morsels[static_cast<size_t>(m)];
+        std::vector<int64_t>* local =
+            &out.buckets_[static_cast<size_t>(m) * static_cast<size_t>(parts)];
+        for (int p = 0; p < parts; ++p) {
+          local[p].reserve(static_cast<size_t>((e - b) / parts + 8));
+        }
+        for (int64_t i = b; i < e; ++i) {
+          local[hashes[static_cast<size_t>(i)] >> shift].push_back(i);
+        }
+        return Status::OK();
+      },
+      options));
+  return out;
+}
+
 void FlatIndex::Part::Reset(int64_t expected_rows) {
   keys = 0;
   probes = 0;

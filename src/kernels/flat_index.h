@@ -197,6 +197,10 @@ class FlatIndex {
   /// to a power of two, capped at 64 and so that partitions keep >= 4k rows.
   static int PlanPartitions(int64_t n, const sim::ParallelOptions& options);
 
+  /// \brief Right shift that maps a hash's top bits to one of `parts`
+  /// (a power of two) radix partitions: 64 - log2(parts).
+  static int PartShiftFor(int parts);
+
  private:
   struct Slot {
     uint64_t hash = 0;
@@ -230,8 +234,6 @@ class FlatIndex {
 #endif
     }
   };
-
-  static int PartShiftFor(int parts);  // 64 - log2(parts)
 
   size_t PartOf(uint64_t h) const {
     return part_shift_ >= 64 ? 0 : static_cast<size_t>(h >> part_shift_);
@@ -355,6 +357,49 @@ class FlatGrouper {
   // Plain ints: groupers are used from one thread; flushed by ~FlatGrouper.
   int64_t probes_ = 0;
   int64_t collisions_ = 0;
+};
+
+// ---------------------------------------------------------------------------
+// RadixRows: rows scattered to top-hash-bit partitions
+// ---------------------------------------------------------------------------
+
+/// \brief Row ids of a hashed table scattered to `parts` radix partitions
+/// of their top hash bits, so every key lands in exactly one partition.
+/// The scatter runs morsel-parallel into private per-(morsel, partition)
+/// buckets; partition p reads its bucket in every morsel, in morsel order,
+/// i.e. its rows in ascending row order. One partition keeps no lists.
+/// The shape the group-by and drop-duplicates partition scans share.
+class RadixRows {
+ public:
+  /// Scatters `hashes` into `parts` (a power of two) partitions.
+  static Result<RadixRows> Scatter(const std::vector<uint64_t>& hashes,
+                                   int parts,
+                                   const sim::ParallelOptions& options);
+
+  /// Calls `f(row)` for every row of partition `p`, in ascending row order.
+  template <typename F>
+  void ForEachRow(int p, F&& f) const {
+    // One loop (a single call site of `f`, so it inlines): one partition
+    // walks 0..n-1 in place, several walk their bucket of every morsel.
+    const size_t lists = parts_ == 1 ? 1 : morsels_;
+    for (size_t m = 0; m < lists; ++m) {
+      const std::vector<int64_t>* bucket =
+          parts_ == 1 ? nullptr
+                      : &buckets_[m * static_cast<size_t>(parts_) +
+                                  static_cast<size_t>(p)];
+      const int64_t count =
+          bucket == nullptr ? rows_ : static_cast<int64_t>(bucket->size());
+      for (int64_t k = 0; k < count; ++k) {
+        f(bucket == nullptr ? k : (*bucket)[static_cast<size_t>(k)]);
+      }
+    }
+  }
+
+ private:
+  int parts_ = 1;
+  int64_t rows_ = 0;
+  size_t morsels_ = 0;
+  std::vector<std::vector<int64_t>> buckets_;  // [morsel * parts + partition]
 };
 
 // ---------------------------------------------------------------------------

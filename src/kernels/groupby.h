@@ -14,8 +14,8 @@ namespace bento::kern {
 /// struct; `rows` counts all rows routed to the group (kCount semantics
 /// track non-null inputs through `count` instead).
 ///
-/// Public so the morsel-parallel group-by's merge step and its property
-/// tests can compose partial states directly.
+/// Public so the group-by's partition merge and its property tests can
+/// compose partial states directly.
 struct AggState {
   double sum = 0.0;
   double sum_sq = 0.0;
@@ -72,23 +72,19 @@ struct AggState {
 /// first-seen order) followed by one column per AggSpec. kCount outputs
 /// int64; other aggregations output float64 and ignore nulls (Pandas
 /// semantics: a group whose inputs are all null aggregates to null).
+///
+/// Morsel-driven: rows are radix-partitioned on the top key-hash bits
+/// (disjoint keys per partition), every partition aggregates into its own
+/// FlatGrouper + flat AggState table over sim::ParallelFor, and a
+/// single-threaded merge restores dense first-seen group ids. No partition
+/// tables are materialized. Per-group accumulation follows global row
+/// order and groups are emitted in global first-seen order, so the output
+/// is row-for-row identical for any worker count and in both execution
+/// modes. One worker (the default) aggregates a single partition.
 Result<TablePtr> GroupBy(const TablePtr& table,
                          const std::vector<std::string>& keys,
-                         const std::vector<AggSpec>& aggs);
-
-/// \brief Morsel-driven parallel group-by: rows are radix-partitioned on
-/// the top key-hash bits (disjoint keys per partition), every partition
-/// aggregates into a thread-local FlatGrouper + flat AggState table over
-/// sim::ParallelFor, and a single-threaded merge restores dense first-seen
-/// group ids. No partition tables are materialized. Output is row-for-row
-/// bit-identical to GroupBy for any worker count and in both execution
-/// modes: per-group accumulation follows global row order and groups are
-/// emitted in global first-seen order. The shape used by the multithreaded
-/// engines (Modin/Polars/DataTable/Spark).
-Result<TablePtr> GroupByPartitioned(const TablePtr& table,
-                                    const std::vector<std::string>& keys,
-                                    const std::vector<AggSpec>& aggs,
-                                    const sim::ParallelOptions& options = {});
+                         const std::vector<AggSpec>& aggs,
+                         const sim::ParallelOptions& options = sim::kOneWorker);
 
 /// \brief Default output name for an aggregation ("<col>_<agg>").
 std::string DefaultAggName(const AggSpec& spec);

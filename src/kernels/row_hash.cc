@@ -116,19 +116,6 @@ std::vector<ColumnHasher> PrepareHashers(const std::vector<ArrayPtr>& cols) {
 }  // namespace
 
 Result<std::vector<uint64_t>> HashRows(
-    const TablePtr& table, const std::vector<std::string>& columns) {
-  BENTO_ASSIGN_OR_RETURN(auto cols, ResolveColumns(table, columns));
-  std::vector<uint64_t> hashes(static_cast<size_t>(table->num_rows()),
-                               0x8445D61A4E774912ULL);
-  if (detail::ForcedHashCollisionsActive()) return hashes;  // all rows collide
-  const auto hashers = PrepareHashers(cols);
-  for (const ColumnHasher& h : hashers) {
-    h.MixRange(0, h.array->length(), hashes.data());
-  }
-  return hashes;
-}
-
-Result<std::vector<uint64_t>> HashRowsParallel(
     const TablePtr& table, const std::vector<std::string>& columns,
     const sim::ParallelOptions& options) {
   BENTO_ASSIGN_OR_RETURN(auto cols, ResolveColumns(table, columns));
@@ -137,22 +124,10 @@ Result<std::vector<uint64_t>> HashRowsParallel(
                                0x8445D61A4E774912ULL);
   if (detail::ForcedHashCollisionsActive()) return hashes;  // all rows collide
   const auto hashers = PrepareHashers(cols);
-  int workers = options.max_workers;
-  if (workers <= 0) {
-    workers = sim::Session::Current() != nullptr
-                  ? sim::Session::Current()->cores()
-                  : 1;
-  }
-  auto ranges = sim::SplitRange(n, workers, 8192);
-  if (ranges.size() <= 1) {
-    for (const ColumnHasher& h : hashers) {
-      h.MixRange(0, n, hashes.data());
-    }
-    return hashes;
-  }
+  auto ranges = sim::SplitRange(n, sim::ResolveWorkers(options), 8192);
   // Tasks own disjoint row ranges; every task sweeps all key columns so the
-  // combiner order matches the serial path bit for bit.
-  BENTO_RETURN_NOT_OK(sim::ParallelFor(
+  // combiner order is the same for every split.
+  BENTO_RETURN_NOT_OK(sim::ParallelForOrInline(
       static_cast<int64_t>(ranges.size()),
       [&](int64_t r) {
         auto [b, e] = ranges[static_cast<size_t>(r)];

@@ -12,15 +12,12 @@ namespace bento::kern {
 
 /// \brief 64-bit hash of every row over `columns` (all columns when empty).
 /// Nulls hash to a fixed tag so null == null for grouping/deduplication
-/// (the dataframe-library convention, unlike SQL joins).
-Result<std::vector<uint64_t>> HashRows(const TablePtr& table,
-                                       const std::vector<std::string>& columns);
-
-/// \brief HashRows fanned out over sim::ParallelFor in disjoint row ranges;
-/// bit-identical to the serial result in both execution modes.
-Result<std::vector<uint64_t>> HashRowsParallel(
+/// (the dataframe-library convention, unlike SQL joins). Wider runs fan out
+/// over sim::ParallelFor in disjoint row ranges; the hashes are identical
+/// for every worker count and in both execution modes.
+Result<std::vector<uint64_t>> HashRows(
     const TablePtr& table, const std::vector<std::string>& columns,
-    const sim::ParallelOptions& options);
+    const sim::ParallelOptions& options = sim::kOneWorker);
 
 /// \brief Equality of row `i` in `left` and row `j` in `right` over
 /// pre-resolved column index pairs. Used to resolve hash collisions.

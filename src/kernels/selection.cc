@@ -10,30 +10,23 @@ namespace bento::kern {
 
 namespace {
 
-using col::BoolBuilder;
-using col::CategoricalBuilder;
-using col::FixedBuilder;
-using col::Float64Builder;
-using col::Int64Builder;
 using col::StringBuilder;
 
-/// Sized gather of pre-materialized filter indices into a fixed-width
-/// column: exact-size output buffer, no builder growth. Null slots keep the
-/// zero-initialized payload — the same bytes the builder's AppendNull
-/// staged, so results stay bit-identical to the old per-row builder loop.
-template <typename T>
-struct FilteredFixed {
+/// Buffers of one gathered fixed-width column.
+struct GatheredBuffers {
   col::BufferPtr data;
   col::BufferPtr validity;  // nullptr when no output slot is null
   int64_t null_count = 0;
 };
 
+/// Sized gather of pre-materialized filter indices into a fixed-width
+/// column: exact-size output buffer, no builder growth. Null slots keep the
+/// zero-initialized payload (the bytes a builder's AppendNull would stage).
 template <typename T>
-Result<FilteredFixed<T>> FilterGatherFixed(const ArrayPtr& values,
-                                           const T* src,
-                                           const int64_t* idx,
-                                           int64_t count) {
-  FilteredFixed<T> out;
+Result<GatheredBuffers> FilterGatherFixed(const ArrayPtr& values,
+                                          const T* src, const int64_t* idx,
+                                          int64_t count) {
+  GatheredBuffers out;
   BENTO_ASSIGN_OR_RETURN(
       out.data, col::Buffer::Allocate(static_cast<uint64_t>(count) * sizeof(T)));
   T* dst = out.data->template mutable_data_as<T>();
@@ -56,27 +49,6 @@ Result<FilteredFixed<T>> FilterGatherFixed(const ArrayPtr& values,
   out.null_count = count - valid;
   if (out.null_count > 0) out.validity = std::move(validity);
   return out;
-}
-
-template <typename Builder, typename Getter>
-Result<ArrayPtr> TakeFixed(const ArrayPtr& values,
-                           const std::vector<int64_t>& indices,
-                           Builder builder, Getter get) {
-  for (int64_t idx : indices) {
-    if (idx < 0 || values->IsNull(idx)) {
-      builder.AppendNull();
-    } else {
-      builder.Append(get(idx));
-    }
-  }
-  return builder.Finish();
-}
-
-Result<ArrayPtr> RetypeTimestamp(Result<ArrayPtr> r) {
-  if (!r.ok()) return r;
-  ArrayPtr a = r.MoveValueUnsafe();
-  return Array::MakeFixed(TypeId::kTimestamp, a->length(), a->data_buffer(),
-                          a->validity_buffer(), a->cached_null_count());
 }
 
 }  // namespace
@@ -156,68 +128,8 @@ Result<TablePtr> FilterTable(const TablePtr& table, const ArrayPtr& mask) {
   return Table::Make(table->schema(), std::move(columns));
 }
 
-Result<ArrayPtr> Take(const ArrayPtr& values,
-                      const std::vector<int64_t>& indices) {
-  for (int64_t idx : indices) {
-    if (idx >= values->length()) {
-      return Status::IndexError("take index ", idx, " out of bounds (length ",
-                                values->length(), ")");
-    }
-  }
-  switch (values->type()) {
-    case TypeId::kInt64:
-      return TakeFixed(values, indices, Int64Builder(),
-                       [&](int64_t i) { return values->int64_data()[i]; });
-    case TypeId::kTimestamp:
-      return RetypeTimestamp(
-          TakeFixed(values, indices, Int64Builder(),
-                    [&](int64_t i) { return values->int64_data()[i]; }));
-    case TypeId::kFloat64:
-      return TakeFixed(values, indices, Float64Builder(),
-                       [&](int64_t i) { return values->float64_data()[i]; });
-    case TypeId::kBool:
-      return TakeFixed(values, indices, BoolBuilder(),
-                       [&](int64_t i) { return values->bool_data()[i] != 0; });
-    case TypeId::kString: {
-      StringBuilder builder;
-      for (int64_t idx : indices) {
-        if (idx < 0 || values->IsNull(idx)) {
-          builder.AppendNull();
-        } else {
-          builder.Append(values->GetView(idx));
-        }
-      }
-      return builder.Finish();
-    }
-    case TypeId::kCategorical: {
-      CategoricalBuilder builder;
-      for (int64_t idx : indices) {
-        if (idx < 0 || values->IsNull(idx)) {
-          builder.AppendNull();
-        } else {
-          builder.Append(values->codes_data()[idx]);
-        }
-      }
-      return builder.Finish(values->dictionary());
-    }
-  }
-  return Status::Invalid("unsupported type in Take");
-}
-
-Result<TablePtr> TakeTable(const TablePtr& table,
-                           const std::vector<int64_t>& indices) {
-  std::vector<ArrayPtr> columns;
-  columns.reserve(static_cast<size_t>(table->num_columns()));
-  for (const ArrayPtr& c : table->columns()) {
-    BENTO_ASSIGN_OR_RETURN(auto taken, Take(c, indices));
-    columns.push_back(std::move(taken));
-  }
-  if (columns.empty()) return table;
-  return Table::Make(table->schema(), std::move(columns));
-}
-
 // ---------------------------------------------------------------------------
-// Sized parallel gather (TakeParallel / TakeTableParallel)
+// Sized gather (Take / TakeTable)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -230,9 +142,9 @@ struct GatherPlan {
   bool any_negative = false;
 };
 
-/// Morsel-parallel bounds scan. Reports the same first out-of-bounds index
-/// (and message) the serial Take would: ranges are ordered, so the earliest
-/// offending range's first hit is the global first.
+/// Morsel-parallel bounds scan. Reports the first out-of-bounds index for
+/// any worker count: ranges are ordered, so the earliest offending range's
+/// first hit is the global first.
 Result<GatherPlan> PlanGather(const std::vector<int64_t>& indices,
                               int64_t source_length,
                               const sim::ParallelOptions& options) {
@@ -241,7 +153,7 @@ Result<GatherPlan> PlanGather(const std::vector<int64_t>& indices,
   plan.ranges = sim::MorselRanges(n, sim::ResolveWorkers(options));
   std::vector<int64_t> first_bad(plan.ranges.size(), -1);
   std::vector<uint8_t> has_negative(plan.ranges.size(), 0);
-  BENTO_RETURN_NOT_OK(sim::ParallelFor(
+  BENTO_RETURN_NOT_OK(sim::ParallelForOrInline(
       static_cast<int64_t>(plan.ranges.size()),
       [&](int64_t r) {
         auto [b, e] = plan.ranges[static_cast<size_t>(r)];
@@ -269,16 +181,9 @@ Result<GatherPlan> PlanGather(const std::vector<int64_t>& indices,
   return plan;
 }
 
-/// Buffers of one gathered fixed-width column.
-struct GatheredBuffers {
-  col::BufferPtr data;
-  col::BufferPtr validity;  // nullptr when no output slot is null
-  int64_t null_count = 0;
-};
-
 /// Fixed-width gather: exact-size output buffer, one memwrite per row, no
-/// builder growth. Null slots keep the zero-initialized value — the same
-/// bytes the serial builder's AppendNull produces.
+/// builder growth. Null slots keep the zero-initialized value (the bytes a
+/// builder's AppendNull would stage).
 template <typename T>
 Result<GatheredBuffers> GatherFixed(const ArrayPtr& values, const T* src,
                                     const std::vector<int64_t>& indices,
@@ -299,7 +204,7 @@ Result<GatheredBuffers> GatherFixed(const ArrayPtr& values, const T* src,
   const uint8_t* src_valid = values->validity_bits();
 
   std::vector<int64_t> valid_counts(plan.ranges.size(), 0);
-  BENTO_RETURN_NOT_OK(sim::ParallelFor(
+  BENTO_RETURN_NOT_OK(sim::ParallelForOrInline(
       static_cast<int64_t>(plan.ranges.size()),
       [&](int64_t r) {
         auto [b, e] = plan.ranges[static_cast<size_t>(r)];
@@ -360,7 +265,7 @@ Result<ArrayPtr> GatherString(const ArrayPtr& values,
   const size_t nranges = plan.ranges.size();
   std::vector<int64_t> range_bytes(nranges, 0);
   std::vector<int64_t> valid_counts(nranges, 0);
-  BENTO_RETURN_NOT_OK(sim::ParallelFor(
+  BENTO_RETURN_NOT_OK(sim::ParallelForOrInline(
       static_cast<int64_t>(nranges),
       [&](int64_t r) {
         auto [b, e] = plan.ranges[static_cast<size_t>(r)];
@@ -395,7 +300,7 @@ Result<ArrayPtr> GatherString(const ArrayPtr& values,
   // Pass 2: staged lengths -> absolute offsets. Each range reads and writes
   // only its own off[b+1..e]; off[b] was finalized by the preceding range
   // (and off[0] is the buffer's zero initialization).
-  BENTO_RETURN_NOT_OK(sim::ParallelFor(
+  BENTO_RETURN_NOT_OK(sim::ParallelForOrInline(
       static_cast<int64_t>(nranges),
       [&](int64_t r) {
         auto [b, e] = plan.ranges[static_cast<size_t>(r)];
@@ -413,7 +318,7 @@ Result<ArrayPtr> GatherString(const ArrayPtr& values,
   char* dst_chars = reinterpret_cast<char*>(chars->mutable_data());
 
   // Pass 3: byte copies into disjoint [off[i], off[i+1]) spans.
-  BENTO_RETURN_NOT_OK(sim::ParallelFor(
+  BENTO_RETURN_NOT_OK(sim::ParallelForOrInline(
       static_cast<int64_t>(nranges),
       [&](int64_t r) {
         auto [b, e] = plan.ranges[static_cast<size_t>(r)];
@@ -439,7 +344,7 @@ Result<ArrayPtr> GatherString(const ArrayPtr& values,
                            std::move(validity), null_count);
 }
 
-Result<ArrayPtr> TakeParallelImpl(const ArrayPtr& values,
+Result<ArrayPtr> GatherColumn(const ArrayPtr& values,
                                   const std::vector<int64_t>& indices,
                                   const GatherPlan& plan,
                                   const sim::ParallelOptions& options) {
@@ -477,40 +382,30 @@ Result<ArrayPtr> TakeParallelImpl(const ArrayPtr& values,
                                     std::move(g.validity), g.null_count);
     }
   }
-  return Status::Invalid("unsupported type in TakeParallel");
+  return Status::Invalid("unsupported type in Take");
 }
-
-/// Below this row count the sized-gather setup (morsel planning, bitmap
-/// allocation, fan-out) costs more than the serial builder path saves.
-constexpr int64_t kMinParallelTakeRows = 4096;
 
 }  // namespace
 
-Result<ArrayPtr> TakeParallel(const ArrayPtr& values,
-                              const std::vector<int64_t>& indices,
-                              const sim::ParallelOptions& options) {
-  if (static_cast<int64_t>(indices.size()) < kMinParallelTakeRows) {
-    return Take(values, indices);
-  }
+Result<ArrayPtr> Take(const ArrayPtr& values,
+                      const std::vector<int64_t>& indices,
+                      const sim::ParallelOptions& options) {
   BENTO_ASSIGN_OR_RETURN(auto plan,
                          PlanGather(indices, values->length(), options));
-  return TakeParallelImpl(values, indices, plan, options);
+  return GatherColumn(values, indices, plan, options);
 }
 
-Result<TablePtr> TakeTableParallel(const TablePtr& table,
-                                   const std::vector<int64_t>& indices,
-                                   const sim::ParallelOptions& options) {
-  if (static_cast<int64_t>(indices.size()) < kMinParallelTakeRows) {
-    return TakeTable(table, indices);
-  }
-  BENTO_TRACE_SPAN(kKernel, "take.parallel");
+Result<TablePtr> TakeTable(const TablePtr& table,
+                           const std::vector<int64_t>& indices,
+                           const sim::ParallelOptions& options) {
+  BENTO_TRACE_SPAN(kKernel, "take");
   BENTO_ASSIGN_OR_RETURN(auto plan,
                          PlanGather(indices, table->num_rows(), options));
   std::vector<ArrayPtr> columns;
   columns.reserve(static_cast<size_t>(table->num_columns()));
   for (const ArrayPtr& c : table->columns()) {
     BENTO_ASSIGN_OR_RETURN(auto taken,
-                           TakeParallelImpl(c, indices, plan, options));
+                           GatherColumn(c, indices, plan, options));
     columns.push_back(std::move(taken));
   }
   if (columns.empty()) return table;

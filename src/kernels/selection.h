@@ -15,26 +15,20 @@ Result<ArrayPtr> Filter(const ArrayPtr& values, const ArrayPtr& mask);
 Result<TablePtr> FilterTable(const TablePtr& table, const ArrayPtr& mask);
 
 /// \brief Gathers rows at `indices`; an index of -1 emits a null row
-/// (used by left joins).
+/// (used by left joins). Sized two-pass gather: output buffers are
+/// allocated to their exact final size up front (prefix-summed byte totals
+/// for strings) and morsel tasks copy disjoint output ranges — no
+/// growth-amortized builder appends. An out-of-bounds index fails with the
+/// first offending index. At one worker (the default) the morsels run in
+/// order on the calling thread; in kSimulated mode wider runs earn makespan
+/// credit like any other ParallelFor. The output is identical for every
+/// worker count.
 Result<ArrayPtr> Take(const ArrayPtr& values,
-                      const std::vector<int64_t>& indices);
+                      const std::vector<int64_t>& indices,
+                      const sim::ParallelOptions& options = sim::kOneWorker);
 Result<TablePtr> TakeTable(const TablePtr& table,
-                           const std::vector<int64_t>& indices);
-
-/// \brief Sized two-pass gather: output buffers are allocated to their exact
-/// final size up front (prefix-summed byte totals for strings) and morsel
-/// tasks copy disjoint output ranges — no growth-amortized builder appends.
-/// Bit-identical to Take (including -1 -> null and the null/validity
-/// layout); falls back to the serial builder path for small inputs. Used by
-/// the parallel join/sort/dedup/group-by assembly stages; in kSimulated mode
-/// the copy morsels run serially and earn makespan credit like any other
-/// ParallelFor.
-Result<ArrayPtr> TakeParallel(const ArrayPtr& values,
-                              const std::vector<int64_t>& indices,
-                              const sim::ParallelOptions& options = {});
-Result<TablePtr> TakeTableParallel(const TablePtr& table,
-                                   const std::vector<int64_t>& indices,
-                                   const sim::ParallelOptions& options = {});
+                           const std::vector<int64_t>& indices,
+                           const sim::ParallelOptions& options = sim::kOneWorker);
 
 }  // namespace bento::kern
 

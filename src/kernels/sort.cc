@@ -118,23 +118,9 @@ Result<std::vector<KeyColumn>> ResolveKeyColumns(
 }  // namespace
 
 Result<std::vector<int64_t>> ArgSort(const TablePtr& table,
-                                     const std::vector<SortKey>& keys) {
+                                     const std::vector<SortKey>& keys,
+                                     const sim::ParallelOptions& options) {
   BENTO_TRACE_SPAN(kKernel, "sort.argsort");
-  if (keys.empty()) return Status::Invalid("ArgSort requires at least one key");
-  BENTO_ASSIGN_OR_RETURN(auto columns, ResolveKeyColumns(table, keys));
-  std::vector<int64_t> indices(static_cast<size_t>(table->num_rows()));
-  for (size_t i = 0; i < indices.size(); ++i) {
-    indices[i] = static_cast<int64_t>(i);
-  }
-  Comparator cmp{&columns, &keys};
-  std::stable_sort(indices.begin(), indices.end(), cmp);
-  return indices;
-}
-
-Result<std::vector<int64_t>> ArgSortParallel(
-    const TablePtr& table, const std::vector<SortKey>& keys,
-    const sim::ParallelOptions& options) {
-  BENTO_TRACE_SPAN(kKernel, "sort.argsort_parallel");
   if (keys.empty()) return Status::Invalid("ArgSort requires at least one key");
   BENTO_ASSIGN_OR_RETURN(auto columns, ResolveKeyColumns(table, keys));
   const int64_t n = table->num_rows();
@@ -147,18 +133,21 @@ Result<std::vector<int64_t>> ArgSortParallel(
     workers = std::min(workers, sim::ThreadPool::HardwareParallelism());
   }
   auto ranges = sim::SplitRange(n, workers, /*min_rows_per_chunk=*/4096);
-  if (ranges.size() <= 1) return ArgSort(table, keys);
-
   Comparator cmp{&columns, &keys};
+  auto sorted_run = [&](int64_t b, int64_t e) {
+    std::vector<int64_t> run(static_cast<size_t>(e - b));
+    for (int64_t i = b; i < e; ++i) run[static_cast<size_t>(i - b)] = i;
+    std::stable_sort(run.begin(), run.end(), cmp);
+    return run;
+  };
+  if (ranges.size() <= 1) return sorted_run(0, n);
+
   std::vector<std::vector<int64_t>> runs(ranges.size());
   BENTO_RETURN_NOT_OK(sim::ParallelFor(
       static_cast<int64_t>(ranges.size()),
       [&](int64_t r) {
         auto [b, e] = ranges[static_cast<size_t>(r)];
-        auto& run = runs[static_cast<size_t>(r)];
-        run.resize(static_cast<size_t>(e - b));
-        for (int64_t i = b; i < e; ++i) run[static_cast<size_t>(i - b)] = i;
-        std::stable_sort(run.begin(), run.end(), cmp);
+        runs[static_cast<size_t>(r)] = sorted_run(b, e);
         return Status::OK();
       },
       options));
@@ -251,9 +240,10 @@ Result<std::vector<int64_t>> MergeSortedRuns(
 }
 
 Result<TablePtr> SortTable(const TablePtr& table,
-                           const std::vector<SortKey>& keys) {
-  BENTO_ASSIGN_OR_RETURN(auto indices, ArgSort(table, keys));
-  return TakeTable(table, indices);
+                           const std::vector<SortKey>& keys,
+                           const sim::ParallelOptions& options) {
+  BENTO_ASSIGN_OR_RETURN(auto indices, ArgSort(table, keys, options));
+  return TakeTable(table, indices, options);
 }
 
 namespace {

@@ -29,19 +29,6 @@ struct Moments {
     sum_sq += v * v;
     ++count;
   }
-
-  void Merge(const Moments& o) {
-    if (o.count == 0) return;
-    if (count == 0) {
-      *this = o;
-      return;
-    }
-    min = std::min(min, o.min);
-    max = std::max(max, o.max);
-    sum += o.sum;
-    sum_sq += o.sum_sq;
-    count += o.count;
-  }
 };
 
 Status CheckAggregatable(const ArrayPtr& values) {
@@ -137,32 +124,6 @@ Result<Scalar> Aggregate(const ArrayPtr& values, AggKind kind) {
   return MomentsToScalar(ComputeMoments(*values, 0, values->length()), kind);
 }
 
-Result<Scalar> AggregateParallel(const ArrayPtr& values, AggKind kind,
-                                 const sim::ParallelOptions& options) {
-  BENTO_RETURN_NOT_OK(CheckAggregatable(values));
-  int workers = options.max_workers;
-  if (workers <= 0) {
-    workers = sim::Session::Current() != nullptr
-                  ? sim::Session::Current()->cores()
-                  : 1;
-  }
-  auto ranges = sim::SplitRange(values->length(), workers, 4096);
-  if (ranges.size() <= 1) return Aggregate(values, kind);
-
-  std::vector<Moments> partials(ranges.size());
-  BENTO_RETURN_NOT_OK(sim::ParallelFor(
-      static_cast<int64_t>(ranges.size()),
-      [&](int64_t r) {
-        auto [b, e] = ranges[static_cast<size_t>(r)];
-        partials[static_cast<size_t>(r)] = ComputeMoments(*values, b, e);
-        return Status::OK();
-      },
-      options));
-  Moments total;
-  for (const Moments& m : partials) total.Merge(m);
-  return MomentsToScalar(total, kind);
-}
-
 Result<double> Quantile(const ArrayPtr& values, double q) {
   BENTO_RETURN_NOT_OK(CheckAggregatable(values));
   if (q < 0.0 || q > 1.0) return Status::Invalid("quantile q must be in [0,1]");
@@ -217,71 +178,6 @@ Result<double> QuantileApprox(const ArrayPtr& values, double q) {
     seen += in_bin;
   }
   return m.max;
-}
-
-Result<TablePtr> Describe(const TablePtr& table, bool approx_quantiles) {
-  col::StringBuilder name_col;
-  col::Float64Builder count_col, mean_col, std_col, min_col, p25_col, p50_col,
-      p75_col, max_col;
-
-  for (int c = 0; c < table->num_columns(); ++c) {
-    const col::Field& field = table->schema()->field(c);
-    if (!col::IsNumeric(field.type) && field.type != TypeId::kBool) continue;
-    const ArrayPtr& values = table->column(c);
-    Moments m = ComputeMoments(*values, 0, values->length());
-    name_col.Append(field.name);
-    count_col.Append(static_cast<double>(m.count));
-    if (m.count == 0) {
-      mean_col.AppendNull();
-      std_col.AppendNull();
-      min_col.AppendNull();
-      p25_col.AppendNull();
-      p50_col.AppendNull();
-      p75_col.AppendNull();
-      max_col.AppendNull();
-      continue;
-    }
-    mean_col.Append(m.sum / static_cast<double>(m.count));
-    bool std_null = false;
-    Scalar std_s = MomentsToScalar(m, AggKind::kStd).ValueOrDie();
-    std_null = std_s.is_null();
-    if (std_null) {
-      std_col.AppendNull();
-    } else {
-      std_col.Append(std_s.double_value());
-    }
-    min_col.Append(m.min);
-    auto quantile = [&](double q) {
-      return approx_quantiles ? QuantileApprox(values, q)
-                              : Quantile(values, q);
-    };
-    BENTO_ASSIGN_OR_RETURN(double p25, quantile(0.25));
-    BENTO_ASSIGN_OR_RETURN(double p50, quantile(0.50));
-    BENTO_ASSIGN_OR_RETURN(double p75, quantile(0.75));
-    p25_col.Append(p25);
-    p50_col.Append(p50);
-    p75_col.Append(p75);
-    max_col.Append(m.max);
-  }
-
-  std::vector<col::Field> fields = {
-      {"column", TypeId::kString},   {"count", TypeId::kFloat64},
-      {"mean", TypeId::kFloat64},    {"std", TypeId::kFloat64},
-      {"min", TypeId::kFloat64},     {"25%", TypeId::kFloat64},
-      {"50%", TypeId::kFloat64},     {"75%", TypeId::kFloat64},
-      {"max", TypeId::kFloat64},
-  };
-  std::vector<ArrayPtr> columns;
-  BENTO_ASSIGN_OR_RETURN(auto a0, name_col.Finish());
-  columns.push_back(a0);
-  for (col::Float64Builder* b :
-       {&count_col, &mean_col, &std_col, &min_col, &p25_col, &p50_col,
-        &p75_col, &max_col}) {
-    BENTO_ASSIGN_OR_RETURN(auto a, b->Finish());
-    columns.push_back(a);
-  }
-  return Table::Make(std::make_shared<col::Schema>(std::move(fields)),
-                     std::move(columns));
 }
 
 namespace {
@@ -368,8 +264,8 @@ Result<TablePtr> AssembleDescribe(const std::vector<ColumnStats>& stats) {
 
 }  // namespace
 
-Result<TablePtr> DescribeParallel(const TablePtr& table, bool approx_quantiles,
-                                  const sim::ParallelOptions& options) {
+Result<TablePtr> Describe(const TablePtr& table, bool approx_quantiles,
+                          const sim::ParallelOptions& options) {
   std::vector<ColumnStats> stats(static_cast<size_t>(table->num_columns()));
   BENTO_RETURN_NOT_OK(sim::ParallelFor(
       table->num_columns(),

@@ -23,22 +23,14 @@ Result<double> Quantile(const ArrayPtr& values, double q);
 /// model pays a copy + full sort. Error bounded by one bin width.
 Result<double> QuantileApprox(const ArrayPtr& values, double q);
 
-/// \brief Chunk-parallel streaming aggregate: partial moments per chunk
-/// (via sim::ParallelFor), merged exactly. Used by the multithreaded and
-/// streaming engines.
-Result<Scalar> AggregateParallel(const ArrayPtr& values, AggKind kind,
-                                 const sim::ParallelOptions& options = {});
-
 /// \brief `describe()`: one row per numeric column with
 /// count/mean/std/min/25%/50%/75%/max. `approx_quantiles` switches the
-/// percentile rows to the streaming histogram estimate.
-Result<TablePtr> Describe(const TablePtr& table, bool approx_quantiles = false);
-
-/// \brief Column-parallel describe: per-column statistics computed as
-/// independent tasks through sim::ParallelFor — the multithreading that
-/// makes Modin the paper's fastest engine at `describe` on wide tables.
-Result<TablePtr> DescribeParallel(const TablePtr& table, bool approx_quantiles,
-                                  const sim::ParallelOptions& options = {});
+/// percentile rows to the streaming histogram estimate. Per-column
+/// statistics are independent sim::ParallelFor tasks — the multithreading
+/// that makes Modin the paper's fastest engine at `describe` on wide
+/// tables; one worker (the default) computes them in column order.
+Result<TablePtr> Describe(const TablePtr& table, bool approx_quantiles = false,
+                          const sim::ParallelOptions& options = sim::kOneWorker);
 
 }  // namespace bento::kern
 

@@ -46,6 +46,12 @@ struct ParallelOptions {
   ExecutionMode mode = ExecutionMode::kSimulated;
 };
 
+/// \brief One worker: the default of every kernel entry point. A kernel run
+/// with it is the serial path (a single range or partition, no makespan
+/// credit). `ParallelOptions{}` would instead resolve to the active
+/// session's core count.
+inline constexpr ParallelOptions kOneWorker{.max_workers = 1};
+
 /// \brief Executes `n` independent tasks, either simulating their parallel
 /// schedule or actually running them on the work-stealing thread pool.
 ///
@@ -64,6 +70,19 @@ struct ParallelOptions {
 /// ParallelFor calls issued from inside a task run serially inline.
 Status ParallelFor(int64_t n, const std::function<Status(int64_t)>& fn,
                    const ParallelOptions& options = {});
+
+/// \brief ParallelFor for kernel fan-outs whose task count follows the
+/// data (morsel ranges, radix partitions). A single task runs inline on the
+/// caller: one range or partition has nothing to overlap, so it is no
+/// scheduled task and is charged no `per_task_dispatch_s` — a small input
+/// costs what a serial kernel body costs. Two or more tasks go through
+/// ParallelFor.
+inline Status ParallelForOrInline(int64_t n,
+                                  const std::function<Status(int64_t)>& fn,
+                                  const ParallelOptions& options) {
+  if (n == 1) return fn(0);
+  return ParallelFor(n, fn, options);
+}
 
 /// \brief Pure makespan computation (exposed for tests): schedules
 /// `durations` in order onto `workers` workers under `policy`.

@@ -17,11 +17,13 @@
 #include "kernels/join.h"
 #include "kernels/pivot.h"
 #include "kernels/row_hash.h"
+#include "tests/kernel_oracles.h"
 #include "tests/test_util.h"
 
 namespace bento::kern {
 namespace {
 
+using test::ExpectSameTable;
 using test::ExpectTablesEqual;
 using test::I64;
 using test::MakeTable;
@@ -281,24 +283,18 @@ TEST(ForcedCollisionTest, JoinUnchanged) {
   auto left = AdversaryTable();
   auto right = MakeTable({{"k", I64({1, 2, 3, 3})},
                           {"p", I64({100, 200, 300, 301})}});
-  auto expected = HashJoin(left, right, "k", "k", {}).ValueOrDie();
-  {
-    ScopedForcedHashCollisions forced;
-    auto collided = HashJoin(left, right, "k", "k", {}).ValueOrDie();
-    ExpectTablesEqual(expected, collided);
-  }
-  // Left join with the parallel path, also under collisions.
-  JoinOptions opts;
-  opts.type = JoinType::kLeft;
-  sim::ParallelOptions parallel;
-  parallel.max_workers = 4;
-  auto expected_left =
-      HashJoinParallel(left, right, "k", "k", opts, parallel).ValueOrDie();
-  {
-    ScopedForcedHashCollisions forced;
-    auto collided =
-        HashJoinParallel(left, right, "k", "k", opts, parallel).ValueOrDie();
-    ExpectTablesEqual(expected_left, collided);
+  for (JoinType type : {JoinType::kInner, JoinType::kLeft}) {
+    JoinOptions opts;
+    opts.type = type;
+    const auto expected = test::OracleJoin(left, right, "k", "k", type);
+    for (const auto& parallel : test::WorkerSweep()) {
+      SCOPED_TRACE(test::SweepLabel(parallel));
+      ExpectSameTable(expected,
+                      HashJoin(left, right, "k", "k", opts, parallel).ValueOrDie());
+      ScopedForcedHashCollisions forced;
+      ExpectSameTable(expected,
+                      HashJoin(left, right, "k", "k", opts, parallel).ValueOrDie());
+    }
   }
 }
 
@@ -306,25 +302,24 @@ TEST(ForcedCollisionTest, GroupByUnchanged) {
   auto t = AdversaryTable();
   std::vector<AggSpec> aggs = {{"v", AggKind::kSum, "s"},
                                {"v", AggKind::kCount, "n"}};
-  auto expected = GroupBy(t, {"k"}, aggs).ValueOrDie();
-  ScopedForcedHashCollisions forced;
-  auto collided = GroupBy(t, {"k"}, aggs).ValueOrDie();
-  ExpectTablesEqual(expected, collided);
+  const auto expected = test::OracleGroupBy(t, {"k"}, aggs);
+  for (const auto& parallel : test::WorkerSweep()) {
+    SCOPED_TRACE(test::SweepLabel(parallel));
+    ExpectSameTable(expected, GroupBy(t, {"k"}, aggs, parallel).ValueOrDie());
+    ScopedForcedHashCollisions forced;
+    ExpectSameTable(expected, GroupBy(t, {"k"}, aggs, parallel).ValueOrDie());
+  }
 }
 
-TEST(ForcedCollisionTest, DedupAndUniqueUnchanged) {
+TEST(ForcedCollisionTest, DedupUnchanged) {
   auto t = AdversaryTable();
-  auto expected = DropDuplicates(t, {"k", "s"}).ValueOrDie();
-  auto values = t->GetColumn("k").ValueOrDie();
-  auto expected_unique = Unique(values).ValueOrDie();
-  ScopedForcedHashCollisions forced;
-  ExpectTablesEqual(expected, DropDuplicates(t, {"k", "s"}).ValueOrDie());
-  auto unique = Unique(values).ValueOrDie();
-  ASSERT_EQ(unique->length(), expected_unique->length());
-  for (int64_t i = 0; i < unique->length(); ++i) {
-    EXPECT_EQ(unique->int64_data()[i], expected_unique->int64_data()[i]);
+  const auto expected = test::OracleDropDuplicates(t, {"k", "s"});
+  for (const auto& parallel : test::WorkerSweep()) {
+    SCOPED_TRACE(test::SweepLabel(parallel));
+    ExpectSameTable(expected, DropDuplicates(t, {"k", "s"}, parallel).ValueOrDie());
+    ScopedForcedHashCollisions forced;
+    ExpectSameTable(expected, DropDuplicates(t, {"k", "s"}, parallel).ValueOrDie());
   }
-  EXPECT_EQ(unique->null_count(), 0);
 }
 
 TEST(ForcedCollisionTest, EncodeAndPivotUnchanged) {

@@ -274,6 +274,43 @@ TEST(CsvTest, MissingTrailingFieldsBecomeNull) {
   EXPECT_EQ(t->GetColumn("c").ValueOrDie()->null_count(), 1);
 }
 
+TEST(CsvTest, AllReadersRejectSchemaFieldCountMismatch) {
+  TempPath path(".csv");
+  FILE* f = fopen(path.str().c_str(), "w");
+  fputs("a,b,c\n1,2,3\n4,5,6\n", f);
+  fclose(f);
+  auto schema_of = [](int fields) {
+    std::vector<col::Field> out;
+    for (int c = 0; c < fields; ++c) {
+      out.push_back({"f" + std::to_string(c), TypeId::kInt64});
+    }
+    return std::make_shared<col::Schema>(std::move(out));
+  };
+  sim::ParallelOptions four;
+  four.max_workers = 4;
+  for (int fields : {2, 4}) {  // too short, too long
+    SCOPED_TRACE("fields=" + std::to_string(fields));
+    CsvReadOptions options;
+    options.schema = schema_of(fields);
+    auto buffered = ReadCsv(path.str(), options);
+    auto mapped = ReadCsvMmap(path.str(), options, four);
+    auto chunked = CsvChunkReader::Open(path.str(), options);
+    ASSERT_FALSE(buffered.ok());
+    ASSERT_FALSE(mapped.ok());
+    ASSERT_FALSE(chunked.ok());
+    EXPECT_TRUE(buffered.status().IsInvalid()) << buffered.status().ToString();
+    EXPECT_TRUE(mapped.status().IsInvalid()) << mapped.status().ToString();
+    EXPECT_TRUE(chunked.status().IsInvalid()) << chunked.status().ToString();
+  }
+  // A matching explicit schema reads through every reader.
+  CsvReadOptions options;
+  options.schema = schema_of(3);
+  EXPECT_EQ(ReadCsv(path.str(), options).ValueOrDie()->num_rows(), 2);
+  EXPECT_EQ(ReadCsvMmap(path.str(), options, four).ValueOrDie()->num_rows(), 2);
+  auto reader = CsvChunkReader::Open(path.str(), options).ValueOrDie();
+  EXPECT_EQ(reader->Next().ValueOrDie()->num_rows(), 2);
+}
+
 TEST(CsvTest, MmapReaderMatchesBuffered) {
   TempPath path(".csv");
   auto t = SampleTable();

@@ -11,6 +11,7 @@
 #include "kernels/stats.h"
 #include "util/random.h"
 #include "kernels/string_ops.h"
+#include "tests/kernel_oracles.h"
 #include "tests/test_util.h"
 
 namespace bento::kern {
@@ -178,25 +179,6 @@ TEST(StatsTest, EmptyColumnAggregatesToNull) {
   EXPECT_EQ(Aggregate(v, AggKind::kCount).ValueOrDie().int_value(), 0);
 }
 
-TEST(StatsTest, ParallelMatchesSerial) {
-  col::Float64Builder b;
-  Rng rng;
-  for (int i = 0; i < 50000; ++i) {
-    b.AppendMaybe(rng.UniformDouble(0, 10), !rng.Bernoulli(0.05));
-  }
-  auto v = b.Finish().ValueOrDie();
-  sim::ParallelOptions opts;
-  opts.max_workers = 6;
-  for (AggKind k : {AggKind::kSum, AggKind::kMean, AggKind::kMin,
-                    AggKind::kMax, AggKind::kStd}) {
-    double serial = Aggregate(v, k).ValueOrDie().double_value();
-    double parallel = AggregateParallel(v, k, opts).ValueOrDie().double_value();
-    EXPECT_NEAR(serial, parallel, 1e-6 * std::abs(serial) + 1e-9);
-  }
-  EXPECT_EQ(AggregateParallel(v, AggKind::kCount, opts).ValueOrDie().int_value(),
-            Aggregate(v, AggKind::kCount).ValueOrDie().int_value());
-}
-
 TEST(StatsTest, QuantileInterpolates) {
   auto v = F64({1.0, 2.0, 3.0, 4.0});
   EXPECT_DOUBLE_EQ(Quantile(v, 0.0).ValueOrDie(), 1.0);
@@ -216,6 +198,73 @@ TEST(StatsTest, DescribeShape) {
   EXPECT_EQ(d->column(0)->GetView(0), "x");
   EXPECT_DOUBLE_EQ(d->GetColumn("mean").ValueOrDie()->float64_data()[1], 20.0);
   EXPECT_DOUBLE_EQ(d->GetColumn("50%").ValueOrDie()->float64_data()[0], 2.0);
+}
+
+TEST(StatsTest, DescribeWorkerSweepMatchesColumnAggregates) {
+  // Wide table: int, float with nulls, bool, all-null and single-value
+  // columns, plus a string column describe must skip.
+  Rng rng(17);
+  col::Int64Builder ib;
+  col::Float64Builder fb;
+  col::BoolBuilder bb;
+  col::StringBuilder sb;
+  const int64_t n = 5000;
+  for (int64_t i = 0; i < n; ++i) {
+    ib.Append(rng.UniformInt(-500, 500));
+    fb.AppendMaybe(rng.UniformDouble(-10, 10), !rng.Bernoulli(0.2));
+    bb.Append(rng.Bernoulli(0.3));
+    sb.Append("x");
+  }
+  std::vector<double> none(static_cast<size_t>(n), 0.0);
+  std::vector<bool> invalid(static_cast<size_t>(n), false);
+  std::vector<bool> one_valid = invalid;
+  one_valid[7] = true;
+  auto t = MakeTable({{"i", ib.Finish().ValueOrDie()},
+                      {"f", fb.Finish().ValueOrDie()},
+                      {"s", sb.Finish().ValueOrDie()},
+                      {"b", bb.Finish().ValueOrDie()},
+                      {"empty", F64(none, invalid)},
+                      {"single", F64(none, one_valid)}});
+  for (bool approx : {false, true}) {
+    auto serial = Describe(t, approx).ValueOrDie();
+    ASSERT_EQ(serial->num_rows(), 5);  // the string column is skipped
+    for (int64_t r = 0; r < serial->num_rows(); ++r) {
+      const std::string name(serial->column(0)->GetView(r));
+      SCOPED_TRACE(name);
+      auto values = t->GetColumn(name).ValueOrDie();
+      auto cell = [&](const char* stat) {
+        return test::CellStr(*serial->GetColumn(stat).ValueOrDie(), r);
+      };
+      auto agg = [&](AggKind kind) {
+        Scalar s = Aggregate(values, kind).ValueOrDie();
+        return s.is_null() ? std::string("null")
+                           : MakeTable({{"x", F64({s.AsDouble().ValueOrDie()})}})
+                                 ->column(0)
+                                 ->ValueToString(0);
+      };
+      EXPECT_EQ(cell("count"), agg(AggKind::kCount));
+      EXPECT_EQ(cell("mean"), agg(AggKind::kMean));
+      EXPECT_EQ(cell("std"), agg(AggKind::kStd));
+      EXPECT_EQ(cell("min"), agg(AggKind::kMin));
+      EXPECT_EQ(cell("max"), agg(AggKind::kMax));
+      if (Aggregate(values, AggKind::kCount).ValueOrDie().int_value() == 0) {
+        EXPECT_EQ(cell("50%"), "null");
+        continue;
+      }
+      auto q = [&](double p) {
+        double v = approx ? QuantileApprox(values, p).ValueOrDie()
+                          : Quantile(values, p).ValueOrDie();
+        return MakeTable({{"x", F64({v})}})->column(0)->ValueToString(0);
+      };
+      EXPECT_EQ(cell("25%"), q(0.25));
+      EXPECT_EQ(cell("50%"), q(0.50));
+      EXPECT_EQ(cell("75%"), q(0.75));
+    }
+    for (const auto& opts : test::WorkerSweep()) {
+      SCOPED_TRACE(test::SweepLabel(opts));
+      test::ExpectSameTable(serial, Describe(t, approx, opts).ValueOrDie());
+    }
+  }
 }
 
 // --- encode ---
@@ -382,7 +431,7 @@ TEST(ApplyTest, RowFunction) {
   EXPECT_EQ(out->int64_data()[1], 22);
 }
 
-TEST(ApplyTest, ParallelMatchesSerial) {
+TEST(ApplyTest, WorkerSweepMatchesRowLoop) {
   col::Int64Builder b;
   for (int i = 0; i < 30000; ++i) b.Append(i);
   auto t = MakeTable({{"a", b.Finish().ValueOrDie()}});
@@ -390,15 +439,15 @@ TEST(ApplyTest, ParallelMatchesSerial) {
     int64_t v = table.column(0)->int64_data()[row];
     return v % 7 == 0 ? Scalar::Null() : Scalar::Int(v * 2);
   };
-  auto serial = ApplyRows(t, fn, TypeId::kInt64).ValueOrDie();
-  sim::ParallelOptions opts;
-  opts.max_workers = 5;
-  auto parallel = ApplyRowsParallel(t, fn, TypeId::kInt64, opts).ValueOrDie();
-  ASSERT_EQ(serial->length(), parallel->length());
-  for (int64_t i = 0; i < serial->length(); ++i) {
-    ASSERT_EQ(serial->IsNull(i), parallel->IsNull(i));
-    if (!serial->IsNull(i)) {
-      ASSERT_EQ(serial->int64_data()[i], parallel->int64_data()[i]);
+  for (const auto& opts : test::WorkerSweep()) {
+    SCOPED_TRACE(test::SweepLabel(opts));
+    auto out = ApplyRows(t, fn, TypeId::kInt64, opts).ValueOrDie();
+    ASSERT_EQ(out->length(), 30000);
+    for (int64_t i = 0; i < out->length(); ++i) {
+      ASSERT_EQ(out->IsNull(i), i % 7 == 0) << "row " << i;
+      if (i % 7 != 0) {
+        ASSERT_EQ(out->int64_data()[i], i * 2) << "row " << i;
+      }
     }
   }
 }
@@ -409,6 +458,11 @@ TEST(ApplyTest, ErrorPropagates) {
     return Status::Invalid("user function failed");
   };
   EXPECT_FALSE(ApplyRows(t, fn, TypeId::kInt64).ok());
+  auto wide = MakeTable({{"a", I64(std::vector<int64_t>(20000, 1))}});
+  for (const auto& opts : test::WorkerSweep()) {
+    EXPECT_FALSE(ApplyRows(wide, fn, TypeId::kInt64, opts).ok())
+        << test::SweepLabel(opts);
+  }
 }
 
 }  // namespace

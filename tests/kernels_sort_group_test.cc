@@ -11,6 +11,7 @@
 #include "kernels/row_hash.h"
 #include "kernels/selection.h"
 #include "kernels/sort.h"
+#include "tests/kernel_oracles.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 
@@ -20,8 +21,11 @@ namespace {
 using col::TablePtr;
 using test::F64;
 using test::I64;
+using test::ExpectSameTable;
 using test::MakeTable;
 using test::Str;
+using test::SweepLabel;
+using test::WorkerSweep;
 
 TEST(SortTest, SingleKeyAscending) {
   auto t = MakeTable({{"k", I64({3, 1, 2})}});
@@ -57,7 +61,7 @@ TEST(SortTest, StringKeys) {
   EXPECT_EQ(sorted->column(0)->GetView(2), "pear");
 }
 
-TEST(SortTest, ParallelMatchesSerialProperty) {
+TEST(SortTest, WorkerSweepMatchesOracleProperty) {
   Rng rng(99);
   col::Int64Builder kb;
   col::Float64Builder vb;
@@ -69,32 +73,36 @@ TEST(SortTest, ParallelMatchesSerialProperty) {
   auto t = MakeTable({{"k", kb.Finish().ValueOrDie()},
                       {"v", vb.Finish().ValueOrDie()}});
   std::vector<SortKey> keys = {{"k", true}};
-  auto serial = ArgSort(t, keys).ValueOrDie();
-  sim::ParallelOptions opts;
-  opts.max_workers = 7;
-  auto parallel = ArgSortParallel(t, keys, opts).ValueOrDie();
-  // Both must produce the identical stable order.
-  EXPECT_EQ(serial, parallel);
+  const auto expected = test::OracleArgSort(t, keys);
+  // Every worker count must produce the identical stable order.
+  for (const auto& opts : WorkerSweep()) {
+    EXPECT_EQ(expected, ArgSort(t, keys, opts).ValueOrDie()) << SweepLabel(opts);
+  }
 }
 
-TEST(SortTest, ParallelMatchesSerialWorkerSweep) {
+TEST(SortTest, WorkerSweepMatchesOracleWithTiesAndNaN) {
   Rng rng(101);
   col::Int64Builder kb;
   col::Float64Builder vb;
   const int64_t n = 30000;
   for (int64_t i = 0; i < n; ++i) {
     kb.AppendMaybe(rng.UniformInt(0, 40), !rng.Bernoulli(0.05));  // many ties
-    vb.Append(rng.UniformDouble());
+    double v = static_cast<double>(rng.UniformInt(0, 20)) / 4.0;
+    if (rng.Bernoulli(0.03)) v = std::nan("");
+    vb.AppendMaybe(v, !rng.Bernoulli(0.05));
   }
   auto t = MakeTable({{"k", kb.Finish().ValueOrDie()},
                       {"v", vb.Finish().ValueOrDie()}});
-  std::vector<SortKey> keys = {{"k", false}};
-  auto serial = ArgSort(t, keys).ValueOrDie();
-  for (int workers : {1, 2, 3, 5, 8}) {
-    sim::ParallelOptions opts;
-    opts.max_workers = workers;
-    auto parallel = ArgSortParallel(t, keys, opts).ValueOrDie();
-    EXPECT_EQ(serial, parallel) << "workers=" << workers;
+  for (const std::vector<SortKey>& keys :
+       {std::vector<SortKey>{{"k", false}},
+        std::vector<SortKey>{{"v", true}, {"k", false}}}) {
+    const auto order = test::OracleArgSort(t, keys);
+    const auto expected = test::OracleTake(t, order);
+    for (const auto& opts : WorkerSweep()) {
+      SCOPED_TRACE(SweepLabel(opts));
+      EXPECT_EQ(order, ArgSort(t, keys, opts).ValueOrDie());
+      ExpectSameTable(expected, SortTable(t, keys, opts).ValueOrDie());
+    }
   }
 }
 
@@ -129,41 +137,55 @@ TEST(SortTest, MergeSortedRunsMatchesArgSort) {
   }
 }
 
-TEST(TakeTest, ParallelMatchesSerial) {
+TEST(TakeTest, WorkerSweepMatchesIndexLoop) {
   Rng rng(103);
   col::Int64Builder ib;
   col::Float64Builder fb;
   col::StringBuilder sb;
   col::BoolBuilder bb;
-  const int64_t n = 20000;
+  col::TimestampBuilder tb;
+  const int64_t n = 70000;  // two morsels
   for (int64_t i = 0; i < n; ++i) {
     ib.AppendMaybe(rng.UniformInt(-100, 100), !rng.Bernoulli(0.1));
     fb.AppendMaybe(rng.UniformDouble(), !rng.Bernoulli(0.1));
     sb.AppendMaybe(std::string(static_cast<size_t>(rng.UniformInt(0, 20)), 'x'),
                    !rng.Bernoulli(0.1));
     bb.Append(rng.Bernoulli(0.5));
+    tb.AppendMaybe(rng.UniformInt(0, 1LL << 40), !rng.Bernoulli(0.1));
   }
+  auto s = sb.Finish().ValueOrDie();
   auto t = MakeTable({{"i", ib.Finish().ValueOrDie()},
                       {"f", fb.Finish().ValueOrDie()},
-                      {"s", sb.Finish().ValueOrDie()},
-                      {"b", bb.Finish().ValueOrDie()}});
-  std::vector<int64_t> indices;
-  for (int64_t i = 0; i < n; ++i) {
-    indices.push_back(rng.Bernoulli(0.05) ? -1 : rng.UniformInt(0, n - 1));
+                      {"s", s},
+                      {"b", bb.Finish().ValueOrDie()},
+                      {"t", tb.Finish().ValueOrDie()},
+                      {"c", DictEncode(s).ValueOrDie()}});
+  for (int64_t rows : {int64_t{0}, int64_t{64}, int64_t{4096}, n}) {
+    std::vector<int64_t> indices;
+    for (int64_t i = 0; i < rows; ++i) {
+      indices.push_back(rng.Bernoulli(0.05) ? -1 : rng.UniformInt(0, n - 1));
+    }
+    const auto expected = test::OracleTake(t, indices);
+    const auto expected_s = expected->SelectColumns({"s"}).ValueOrDie();
+    for (const auto& opts : WorkerSweep()) {
+      SCOPED_TRACE(SweepLabel(opts) + " rows=" + std::to_string(rows));
+      ExpectSameTable(expected, TakeTable(t, indices, opts).ValueOrDie());
+      ExpectSameTable(expected_s,
+                      MakeTable({{"s", Take(s, indices, opts).ValueOrDie()}}));
+    }
   }
-  auto serial = TakeTable(t, indices).ValueOrDie();
-  sim::ParallelOptions opts;
-  opts.max_workers = 6;
-  auto parallel = TakeTableParallel(t, indices, opts).ValueOrDie();
-  test::ExpectTablesEqual(serial, parallel);
-  // Out-of-bounds index: both paths must fail with the same message.
-  std::vector<int64_t> bad = indices;
+  // Out-of-bounds indices: every worker count reports the first one.
+  std::vector<int64_t> bad(static_cast<size_t>(n), 0);
   bad[12345] = n + 7;
-  auto serial_err = TakeTable(t, bad);
-  auto parallel_err = TakeTableParallel(t, bad, opts);
-  ASSERT_FALSE(serial_err.ok());
-  ASSERT_FALSE(parallel_err.ok());
-  EXPECT_EQ(serial_err.status().ToString(), parallel_err.status().ToString());
+  bad[60000] = n + 9;
+  for (const auto& opts : WorkerSweep()) {
+    auto err = TakeTable(t, bad, opts);
+    ASSERT_FALSE(err.ok()) << SweepLabel(opts);
+    EXPECT_NE(err.status().ToString().find(
+                  "take index " + std::to_string(n + 7) + " out of bounds"),
+              std::string::npos)
+        << SweepLabel(opts) << ": " << err.status().ToString();
+  }
 }
 
 TEST(SortTest, UnknownKeyFails) {
@@ -252,7 +274,7 @@ TEST(GroupByTest, RejectsStringAggregation) {
 
   // kCount over string and categorical values counts valid cells and never
   // reads them as numbers; keyed on an int64 and on a categorical column,
-  // through both the serial and the morsel kernel.
+  // at every worker count.
   auto categorical = [](const std::vector<int32_t>& codes,
                         std::vector<std::string> dict) {
     col::CategoricalBuilder b;
@@ -275,13 +297,10 @@ TEST(GroupByTest, RejectsStringAggregation) {
        {"c", categorical({0, 1, 0, 0, -1}, {"a", "b"})}});
   const std::vector<AggSpec> counts = {{"s", AggKind::kCount, "sn"},
                                        {"c", AggKind::kCount, "cn"}};
-  sim::ParallelOptions opts;
-  opts.max_workers = 3;
   for (const std::string key : {"k", "ck"}) {
-    SCOPED_TRACE(key);
-    for (const TablePtr& out :
-         {GroupBy(counted, {key}, counts).ValueOrDie(),
-          GroupByPartitioned(counted, {key}, counts, opts).ValueOrDie()}) {
+    for (const auto& opts : WorkerSweep()) {
+      SCOPED_TRACE(key + " " + SweepLabel(opts));
+      auto out = GroupBy(counted, {key}, counts, opts).ValueOrDie();
       ASSERT_EQ(out->num_rows(), 2);
       auto sn = out->GetColumn("sn").ValueOrDie();
       auto cn = out->GetColumn("cn").ValueOrDie();
@@ -293,7 +312,7 @@ TEST(GroupByTest, RejectsStringAggregation) {
   }
 }
 
-TEST(GroupByTest, PartitionedMatchesSerialProperty) {
+TEST(GroupByTest, WorkerSweepMatchesOracleProperty) {
   Rng rng(7);
   col::Int64Builder kb;
   col::Float64Builder vb;
@@ -306,14 +325,14 @@ TEST(GroupByTest, PartitionedMatchesSerialProperty) {
   std::vector<AggSpec> aggs = {{"v", AggKind::kSum, "s"},
                                {"v", AggKind::kMean, "m"},
                                {"v", AggKind::kCount, "n"}};
-  auto serial = GroupBy(t, {"k"}, aggs).ValueOrDie();
-  sim::ParallelOptions opts;
-  opts.max_workers = 5;
-  auto partitioned = GroupByPartitioned(t, {"k"}, aggs, opts).ValueOrDie();
-  // Positional: the morsel kernel restores global first-seen group order,
-  // and per-group accumulation follows global row order, so the output is
-  // row-for-row identical to serial — not just equivalent up to reordering.
-  test::ExpectTablesEqual(serial, partitioned);
+  const auto expected = test::OracleGroupBy(t, {"k"}, aggs);
+  // Positional: groups come out in global first-seen order and per-group
+  // accumulation follows global row order at every worker count — not just
+  // equivalent up to reordering.
+  for (const auto& opts : WorkerSweep()) {
+    SCOPED_TRACE(SweepLabel(opts));
+    ExpectSameTable(expected, GroupBy(t, {"k"}, aggs, opts).ValueOrDie());
+  }
 }
 
 /// Builds the randomized group-by property input: int64 keys (some null),
@@ -342,43 +361,41 @@ std::vector<AggSpec> AllAggs() {
           {"b", AggKind::kSum, "bs"}};
 }
 
-TEST(GroupByTest, PartitionedBitIdenticalAcrossWorkerCounts) {
+TEST(GroupByTest, BitIdenticalToOracleAcrossWorkerCounts) {
   auto t = GroupPropertyTable(31, 20000, 97);
   auto aggs = AllAggs();
-  auto serial = GroupBy(t, {"k"}, aggs).ValueOrDie();
+  const auto expected = test::OracleGroupBy(t, {"k"}, aggs);
   for (int workers = 1; workers <= 8; ++workers) {
     sim::ParallelOptions opts;
     opts.max_workers = workers;
-    auto partitioned = GroupByPartitioned(t, {"k"}, aggs, opts).ValueOrDie();
     // Every group lives in exactly one partition and its rows accumulate in
     // global row order, so even float aggregates (kStd included) are
-    // bit-identical to serial for every worker count.
-    test::ExpectTablesEqual(serial, partitioned);
+    // bit-identical to one in-order fold for every worker count.
+    ExpectSameTable(expected, GroupBy(t, {"k"}, aggs, opts).ValueOrDie());
   }
 }
 
-TEST(GroupByTest, PartitionedRealModeMatchesSerial) {
-  auto t = GroupPropertyTable(32, 30000, 251);
+TEST(GroupByTest, HighCardinalityWorkerSweepMatchesOracle) {
+  auto t = GroupPropertyTable(32, 30000, 2510);
   auto aggs = AllAggs();
-  auto serial = GroupBy(t, {"k"}, aggs).ValueOrDie();
-  sim::ParallelOptions opts;
-  opts.max_workers = 4;
-  opts.mode = sim::ExecutionMode::kReal;  // genuine pool threads
-  auto partitioned = GroupByPartitioned(t, {"k"}, aggs, opts).ValueOrDie();
-  test::ExpectTablesEqual(serial, partitioned);
+  const auto expected = test::OracleGroupBy(t, {"k"}, aggs);
+  for (const auto& opts : WorkerSweep()) {
+    SCOPED_TRACE(SweepLabel(opts));
+    ExpectSameTable(expected, GroupBy(t, {"k"}, aggs, opts).ValueOrDie());
+  }
 }
 
-TEST(GroupByTest, PartitionedForcedHashCollisions) {
+TEST(GroupByTest, ForcedHashCollisionsWorkerSweep) {
   // All keys hash to one constant: every row lands in one partition and the
   // grouper resolves groups purely through the equality fallback.
   auto t = GroupPropertyTable(33, 9000, 23);
   auto aggs = AllAggs();
+  const auto expected = test::OracleGroupBy(t, {"k"}, aggs);
   ScopedForcedHashCollisions forced;
-  auto serial = GroupBy(t, {"k"}, aggs).ValueOrDie();
-  sim::ParallelOptions opts;
-  opts.max_workers = 6;
-  auto partitioned = GroupByPartitioned(t, {"k"}, aggs, opts).ValueOrDie();
-  test::ExpectTablesEqual(serial, partitioned);
+  for (const auto& opts : WorkerSweep()) {
+    SCOPED_TRACE(SweepLabel(opts));
+    ExpectSameTable(expected, GroupBy(t, {"k"}, aggs, opts).ValueOrDie());
+  }
 }
 
 TEST(AggStateTest, MergeMatchesSerialOnIntegerData) {
@@ -512,7 +529,7 @@ TEST(JoinTest, CollidingNamesGetSuffix) {
   EXPECT_TRUE(out->schema()->Contains("v_r"));
 }
 
-TEST(JoinTest, ParallelMatchesSerialProperty) {
+TEST(JoinTest, WorkerSweepMatchesNestedLoopProperty) {
   Rng rng(21);
   col::Int64Builder lk, rk;
   for (int i = 0; i < 5000; ++i) lk.Append(rng.UniformInt(0, 500));
@@ -524,12 +541,14 @@ TEST(JoinTest, ParallelMatchesSerialProperty) {
                          {"lid", lid.Finish().ValueOrDie()}});
   auto right = MakeTable({{"k", rk.Finish().ValueOrDie()},
                           {"rid", rid.Finish().ValueOrDie()}});
-  auto serial = HashJoin(left, right, "k", "k").ValueOrDie();
-  sim::ParallelOptions popts;
-  popts.max_workers = 4;
-  auto parallel =
-      HashJoinParallel(left, right, "k", "k", {}, popts).ValueOrDie();
-  test::ExpectTablesEqual(serial, parallel);  // probe order is preserved
+  const auto expected =
+      test::OracleJoin(left, right, "k", "k", JoinType::kInner);
+  for (const auto& opts : WorkerSweep()) {
+    SCOPED_TRACE(SweepLabel(opts));
+    // Probe order is preserved at every worker count.
+    ExpectSameTable(expected,
+                    HashJoin(left, right, "k", "k", {}, opts).ValueOrDie());
+  }
 }
 
 TEST(DedupTest, KeepsFirstOccurrence) {
@@ -547,15 +566,7 @@ TEST(DedupTest, NullsAreEqualForDedup) {
   EXPECT_EQ(DropDuplicates(t).ValueOrDie()->num_rows(), 1);
 }
 
-TEST(UniqueTest, DistinctNonNull) {
-  auto v = Str({"b", "a", "b", "c"}, {true, true, true, false});
-  auto u = Unique(v).ValueOrDie();
-  ASSERT_EQ(u->length(), 2);
-  EXPECT_EQ(u->GetView(0), "b");
-  EXPECT_EQ(u->GetView(1), "a");
-}
-
-TEST(DedupTest, ParallelMatchesSerialAcrossWorkerCounts) {
+TEST(DedupTest, WorkerSweepMatchesOracle) {
   Rng rng(61);
   col::Int64Builder ab;
   col::Int64Builder bb;
@@ -566,78 +577,59 @@ TEST(DedupTest, ParallelMatchesSerialAcrossWorkerCounts) {
   }
   auto t = MakeTable({{"a", ab.Finish().ValueOrDie()},
                       {"b", bb.Finish().ValueOrDie()}});
-  auto serial = DropDuplicates(t).ValueOrDie();
-  auto serial_a = DropDuplicates(t, {"a"}).ValueOrDie();
-  for (int workers = 1; workers <= 8; ++workers) {
-    sim::ParallelOptions opts;
-    opts.max_workers = workers;
-    auto parallel = DropDuplicatesParallel(t, {}, opts).ValueOrDie();
-    test::ExpectTablesEqual(serial, parallel);  // same rows, same order
-    auto parallel_a = DropDuplicatesParallel(t, {"a"}, opts).ValueOrDie();
-    test::ExpectTablesEqual(serial_a, parallel_a);
+  const auto expected = test::OracleDropDuplicates(t, {});
+  const auto expected_a = test::OracleDropDuplicates(t, {"a"});
+  for (const auto& opts : WorkerSweep()) {
+    SCOPED_TRACE(SweepLabel(opts));
+    // Same rows, same order.
+    ExpectSameTable(expected, DropDuplicates(t, {}, opts).ValueOrDie());
+    ExpectSameTable(expected_a, DropDuplicates(t, {"a"}, opts).ValueOrDie());
   }
 }
 
-TEST(DedupTest, ParallelForcedHashCollisions) {
+TEST(DedupTest, ForcedHashCollisionsWorkerSweep) {
   Rng rng(62);
   col::Int64Builder ab;
   for (int64_t i = 0; i < 9000; ++i) ab.Append(rng.UniformInt(0, 25));
   auto t = MakeTable({{"a", ab.Finish().ValueOrDie()}});
+  const auto expected = test::OracleDropDuplicates(t, {});
   ScopedForcedHashCollisions forced;
-  auto serial = DropDuplicates(t).ValueOrDie();
-  sim::ParallelOptions opts;
-  opts.max_workers = 4;
-  auto parallel = DropDuplicatesParallel(t, {}, opts).ValueOrDie();
-  test::ExpectTablesEqual(serial, parallel);
-}
-
-TEST(UniqueTest, ParallelMatchesSerial) {
-  Rng rng(63);
-  col::Float64Builder vb;
-  const int64_t n = 20000;
-  for (int64_t i = 0; i < n; ++i) {
-    vb.AppendMaybe(static_cast<double>(rng.UniformInt(0, 300)) / 4.0,
-                   !rng.Bernoulli(0.1));
-  }
-  auto v = vb.Finish().ValueOrDie();
-  auto serial = Unique(v).ValueOrDie();
-  for (int workers : {1, 3, 8}) {
-    sim::ParallelOptions opts;
-    opts.max_workers = workers;
-    auto parallel = UniqueParallel(v, opts).ValueOrDie();
-    ASSERT_EQ(serial->length(), parallel->length()) << "workers=" << workers;
-    for (int64_t i = 0; i < serial->length(); ++i) {
-      EXPECT_EQ(serial->float64_data()[i], parallel->float64_data()[i]);
-    }
+  for (const auto& opts : WorkerSweep()) {
+    SCOPED_TRACE(SweepLabel(opts));
+    ExpectSameTable(expected, DropDuplicates(t, {}, opts).ValueOrDie());
   }
 }
 
-TEST(JoinTest, ParallelMatchesSerialWorkerSweep) {
+TEST(JoinTest, WorkerSweepMatchesNestedLoopWithNullKeys) {
+  // Enough probe rows for several probe morsels (per-morsel pair lists
+  // plus the prefix-sum copy), and a build side past the partitioned-build
+  // floor.
   Rng rng(64);
-  col::Int64Builder lk, rk, lid, rid;
-  const int64_t ln = 20000;
-  for (int64_t i = 0; i < ln; ++i) {
-    lk.AppendMaybe(rng.UniformInt(0, 900), !rng.Bernoulli(0.03));
-    lid.Append(i);
-  }
-  for (int64_t i = 0; i < 1200; ++i) {
-    rk.AppendMaybe(rng.UniformInt(0, 900), !rng.Bernoulli(0.03));
-    rid.Append(i);
-  }
-  auto left = MakeTable({{"k", lk.Finish().ValueOrDie()},
-                         {"lid", lid.Finish().ValueOrDie()}});
-  auto right = MakeTable({{"k", rk.Finish().ValueOrDie()},
-                          {"rid", rid.Finish().ValueOrDie()}});
-  for (JoinType type : {JoinType::kInner, JoinType::kLeft}) {
-    JoinOptions jopts;
-    jopts.type = type;
-    auto serial = HashJoin(left, right, "k", "k", jopts).ValueOrDie();
-    for (int workers : {1, 2, 4, 8}) {
-      sim::ParallelOptions popts;
-      popts.max_workers = workers;
-      auto parallel =
-          HashJoinParallel(left, right, "k", "k", jopts, popts).ValueOrDie();
-      test::ExpectTablesEqual(serial, parallel);
+  for (auto [ln, rn, cardinality] :
+       {std::tuple<int64_t, int64_t, int64_t>{70000, 300, 900},
+        std::tuple<int64_t, int64_t, int64_t>{3000, 12000, 9000}}) {
+    col::Int64Builder lk, rk, lid, rid;
+    for (int64_t i = 0; i < ln; ++i) {
+      lk.AppendMaybe(rng.UniformInt(0, cardinality), !rng.Bernoulli(0.03));
+      lid.Append(i);
+    }
+    for (int64_t i = 0; i < rn; ++i) {
+      rk.AppendMaybe(rng.UniformInt(0, cardinality), !rng.Bernoulli(0.03));
+      rid.Append(i);
+    }
+    auto left = MakeTable({{"k", lk.Finish().ValueOrDie()},
+                           {"lid", lid.Finish().ValueOrDie()}});
+    auto right = MakeTable({{"k", rk.Finish().ValueOrDie()},
+                            {"rid", rid.Finish().ValueOrDie()}});
+    for (JoinType type : {JoinType::kInner, JoinType::kLeft}) {
+      JoinOptions jopts;
+      jopts.type = type;
+      const auto expected = test::OracleJoin(left, right, "k", "k", type);
+      for (const auto& opts : WorkerSweep()) {
+        SCOPED_TRACE(SweepLabel(opts) + " left=" + std::to_string(ln));
+        ExpectSameTable(expected,
+                        HashJoin(left, right, "k", "k", jopts, opts).ValueOrDie());
+      }
     }
   }
 }
@@ -682,58 +674,50 @@ TEST(GroupByTest, DictKeysMatchStringKeysAcrossWorkerCounts) {
   auto aggs = DictAggs();
   // Value-identical to the string-key group-by (code hashing routes through
   // the per-dictionary entry hashes, so grouping decisions cannot differ).
-  auto from_strings = GroupBy(tables.plain, {"k"}, aggs).ValueOrDie();
-  auto serial = GroupBy(tables.dict, {"k"}, aggs).ValueOrDie();
-  test::ExpectTablesEqual(from_strings, serial);
-  for (int workers = 1; workers <= 8; ++workers) {
-    sim::ParallelOptions opts;
-    opts.max_workers = workers;
-    auto partitioned =
-        GroupByPartitioned(tables.dict, {"k"}, aggs, opts).ValueOrDie();
-    test::ExpectTablesEqual(serial, partitioned);
+  const auto from_strings = test::OracleGroupBy(tables.plain, {"k"}, aggs);
+  const auto expected = test::OracleGroupBy(tables.dict, {"k"}, aggs);
+  test::ExpectTablesEqual(from_strings, expected);
+  for (const auto& opts : WorkerSweep()) {
+    SCOPED_TRACE(SweepLabel(opts));
+    ExpectSameTable(expected, GroupBy(tables.dict, {"k"}, aggs, opts).ValueOrDie());
+    ExpectSameTable(from_strings,
+                    GroupBy(tables.plain, {"k"}, aggs, opts).ValueOrDie());
   }
 }
 
 TEST(GroupByTest, DictKeysForcedHashCollisionsWorkerSweep) {
   auto tables = DictPropertyTables(72, 6000, 17);
   auto aggs = DictAggs();
+  const auto expected = test::OracleGroupBy(tables.dict, {"k"}, aggs);
   ScopedForcedHashCollisions forced;
-  auto serial = GroupBy(tables.dict, {"k"}, aggs).ValueOrDie();
   test::ExpectTablesEqual(GroupBy(tables.plain, {"k"}, aggs).ValueOrDie(),
-                          serial);
-  for (int workers = 1; workers <= 8; ++workers) {
-    sim::ParallelOptions opts;
-    opts.max_workers = workers;
-    auto partitioned =
-        GroupByPartitioned(tables.dict, {"k"}, aggs, opts).ValueOrDie();
-    test::ExpectTablesEqual(serial, partitioned);
+                          expected);
+  for (const auto& opts : WorkerSweep()) {
+    SCOPED_TRACE(SweepLabel(opts));
+    ExpectSameTable(expected, GroupBy(tables.dict, {"k"}, aggs, opts).ValueOrDie());
   }
 }
 
 TEST(DedupTest, DictKeysWorkerSweep) {
   auto tables = DictPropertyTables(73, 12000, 30);
-  auto from_strings = DropDuplicates(tables.plain, {"k"}).ValueOrDie();
-  auto serial = DropDuplicates(tables.dict, {"k"}).ValueOrDie();
-  ASSERT_EQ(from_strings->num_rows(), serial->num_rows());
-  for (int workers = 1; workers <= 8; ++workers) {
-    sim::ParallelOptions opts;
-    opts.max_workers = workers;
-    auto parallel =
-        DropDuplicatesParallel(tables.dict, {"k"}, opts).ValueOrDie();
-    test::ExpectTablesEqual(serial, parallel);
+  const auto from_strings = test::OracleDropDuplicates(tables.plain, {"k"});
+  const auto expected = test::OracleDropDuplicates(tables.dict, {"k"});
+  test::ExpectTablesEqual(from_strings, expected);
+  for (const auto& opts : WorkerSweep()) {
+    SCOPED_TRACE(SweepLabel(opts));
+    ExpectSameTable(expected, DropDuplicates(tables.dict, {"k"}, opts).ValueOrDie());
+    ExpectSameTable(from_strings,
+                    DropDuplicates(tables.plain, {"k"}, opts).ValueOrDie());
   }
 }
 
 TEST(DedupTest, DictKeysForcedHashCollisions) {
   auto tables = DictPropertyTables(74, 5000, 12);
+  const auto expected = test::OracleDropDuplicates(tables.dict, {"k"});
   ScopedForcedHashCollisions forced;
-  auto serial = DropDuplicates(tables.dict, {"k"}).ValueOrDie();
-  for (int workers : {1, 4, 8}) {
-    sim::ParallelOptions opts;
-    opts.max_workers = workers;
-    auto parallel =
-        DropDuplicatesParallel(tables.dict, {"k"}, opts).ValueOrDie();
-    test::ExpectTablesEqual(serial, parallel);
+  for (const auto& opts : WorkerSweep()) {
+    SCOPED_TRACE(SweepLabel(opts));
+    ExpectSameTable(expected, DropDuplicates(tables.dict, {"k"}, opts).ValueOrDie());
   }
 }
 
@@ -762,18 +746,20 @@ TEST(JoinTest, DictKeysMatchStringKeysWorkerSweep) {
   for (JoinType type : {JoinType::kInner, JoinType::kLeft}) {
     JoinOptions jopts;
     jopts.type = type;
-    auto from_strings =
-        HashJoin(left_t.plain, right_plain, "k", "k", jopts).ValueOrDie();
-    auto serial =
-        HashJoin(left_t.dict, right_dict, "k", "k", jopts).ValueOrDie();
-    test::ExpectTablesEqual(from_strings, serial);
-    for (int workers : {1, 3, 8}) {
-      sim::ParallelOptions popts;
-      popts.max_workers = workers;
-      auto parallel =
-          HashJoinParallel(left_t.dict, right_dict, "k", "k", jopts, popts)
-              .ValueOrDie();
-      test::ExpectTablesEqual(serial, parallel);
+    const auto from_strings =
+        test::OracleJoin(left_t.plain, right_plain, "k", "k", type);
+    const auto expected =
+        test::OracleJoin(left_t.dict, right_dict, "k", "k", type);
+    test::ExpectTablesEqual(from_strings, expected);
+    // The plain-string join runs once; the sweep covers the dictionary path.
+    ExpectSameTable(from_strings,
+                    HashJoin(left_t.plain, right_plain, "k", "k", jopts)
+                        .ValueOrDie());
+    for (const auto& opts : WorkerSweep()) {
+      SCOPED_TRACE(SweepLabel(opts));
+      ExpectSameTable(
+          expected,
+          HashJoin(left_t.dict, right_dict, "k", "k", jopts, opts).ValueOrDie());
     }
   }
 }
@@ -782,17 +768,18 @@ TEST(SortTest, DictKeysMatchStringKeys) {
   // The rank cache must order codes exactly like the decoded strings, with
   // stable tie-breaking over the payload column preserved.
   auto tables = DictPropertyTables(77, 10000, 35);
-  for (bool ascending : {true, false}) {
-    auto from_strings =
-        SortTable(tables.plain, {{"k", ascending}}).ValueOrDie();
-    auto from_codes = SortTable(tables.dict, {{"k", ascending}}).ValueOrDie();
-    test::ExpectTablesEqual(from_strings, from_codes);
+  for (const std::vector<SortKey>& keys :
+       {std::vector<SortKey>{{"k", true}}, std::vector<SortKey>{{"k", false}},
+        std::vector<SortKey>{{"k", true}, {"v", false}}}) {
+    const auto order = test::OracleArgSort(tables.plain, keys);
+    const auto from_strings = test::OracleTake(tables.plain, order);
+    const auto expected = test::OracleTake(tables.dict, order);
+    for (const auto& opts : WorkerSweep()) {
+      SCOPED_TRACE(SweepLabel(opts));
+      ExpectSameTable(from_strings, SortTable(tables.plain, keys, opts).ValueOrDie());
+      ExpectSameTable(expected, SortTable(tables.dict, keys, opts).ValueOrDie());
+    }
   }
-  auto multi_strings =
-      SortTable(tables.plain, {{"k", true}, {"v", false}}).ValueOrDie();
-  auto multi_codes =
-      SortTable(tables.dict, {{"k", true}, {"v", false}}).ValueOrDie();
-  test::ExpectTablesEqual(multi_strings, multi_codes);
 }
 
 }  // namespace
