@@ -265,13 +265,18 @@ ExecPolicy WorkerPolicy(ExecPolicy policy, const PipelineOptions& pipe) {
   return policy;
 }
 
-/// The streamable run ops[0, n) as one pure per-chunk map. A breaker's
-/// residual map (two-pass encode, probe-side join), when carried, runs first
-/// so that work rides the same pipeline workers.
-ChunkMapFn RunMap(const Op* ops, size_t n, const ExecPolicy* policy,
-                  ChunkMapFn carried) {
-  return [ops, n, policy, carried = std::move(carried)](
-             col::TablePtr chunk) -> Result<col::TablePtr> {
+/// The streamable run ops[0, n) as one pure per-chunk stage map. A
+/// breaker's residual map (two-pass encode, probe-side join), when carried,
+/// runs first; a breaker's chunk map (group-by partials, dedup hashes), when
+/// given, runs last and receives the chunk's `seq`. Either way that work
+/// rides the run's pipeline workers.
+ParallelPipelineDriver::MapFn RunMap(const Op* ops, size_t n,
+                                     const ExecPolicy* policy,
+                                     ChunkMapFn carried,
+                                     ParallelPipelineDriver::MapFn breaker) {
+  return [ops, n, policy, carried = std::move(carried),
+          breaker = std::move(breaker)](
+             col::TablePtr chunk, int64_t seq) -> Result<col::TablePtr> {
     static obs::Counter* chunks =
         obs::MetricsRegistry::Global().counter("lazy.stream_chunks");
     chunks->Increment();
@@ -285,31 +290,19 @@ ChunkMapFn RunMap(const Op* ops, size_t n, const ExecPolicy* policy,
       BENTO_ASSIGN_OR_RETURN(chunk,
                              frame::ExecTransform(chunk, ops[k], *policy));
     }
+    if (breaker) return breaker(std::move(chunk), seq);
     return chunk;
   };
 }
 
-/// The one place a transform run becomes a stream: a ParallelPipelineDriver
-/// stage over `input`. At one worker the driver runs claim + map inline on
-/// the calling thread, so the serial streaming loop is this stage's
-/// degenerate case rather than a separate code path.
+/// The one place a run becomes a stream: a ParallelPipelineDriver stage
+/// over `input`. At one worker the driver runs claim + map inline on the
+/// calling thread, so the serial streaming loop is this stage's degenerate
+/// case rather than a separate code path.
 std::unique_ptr<ParallelPipelineDriver> TransformStage(
-    ChunkStream* input, ChunkMapFn map, const PipelineOptions& pipe) {
-  return std::make_unique<ParallelPipelineDriver>(
-      input,
-      [map = std::move(map)](col::TablePtr chunk, int64_t) {
-        return map(std::move(chunk));
-      },
-      pipe);
-}
-
-/// Charges a finished stage's per-chunk modeled overhead in one step from
-/// the consumer thread (session clocks are consumer-thread state, which
-/// pipeline workers cannot touch).
-void ChargeChunks(double penalty, int64_t chunks) {
-  if (penalty > 0 && chunks > 0) {
-    sim::ChargePenalty(penalty * static_cast<double>(chunks));
-  }
+    ChunkStream* input, ParallelPipelineDriver::MapFn map,
+    const PipelineOptions& pipe) {
+  return std::make_unique<ParallelPipelineDriver>(input, std::move(map), pipe);
 }
 
 }  // namespace
@@ -317,6 +310,12 @@ void ChargeChunks(double penalty, int64_t chunks) {
 Result<col::TablePtr> LazyEngineBase::Execute(
     const LazySource& source, const std::vector<Op>& plan) const {
   BENTO_TRACE_SPAN_DYN(kEngine, info().id + ".execute");
+  return RunPlan(source, plan, nullptr);
+}
+
+Result<col::TablePtr> LazyEngineBase::RunPlan(const LazySource& source,
+                                              const std::vector<Op>& plan,
+                                              const StageFold& sink) const {
   if (PlanOverheadSeconds() > 0) sim::ChargePenalty(PlanOverheadSeconds());
   std::vector<Op> ops = Optimize(plan);
   const ExecPolicy policy = ExecutionPolicy();
@@ -359,8 +358,8 @@ Result<col::TablePtr> LazyEngineBase::Execute(
   // Nothing to do: chaining from a materialized frame with an empty plan
   // (common in per-op modes) must not re-chunk and re-concat the table —
   // that would double its footprint for no work.
-  if (start >= ops.size() && source.kind == LazySource::Kind::kTable &&
-      scan.drop_columns.empty() && source.table != nullptr) {
+  if (sink == nullptr && ops.empty() &&
+      source.kind == LazySource::Kind::kTable && source.table != nullptr) {
     return source.table;
   }
 
@@ -389,7 +388,7 @@ Result<col::TablePtr> LazyEngineBase::Execute(
 
   // Streaming loop: breakers either stream (bounded memory) and hand the
   // pipeline a new stream, or materialize and hand it a table stream.
-  col::TablePtr current;          // set when the plan ends or must materialize
+  col::TablePtr current;          // set when a breaker must materialize
   col::TablePtr stage_table;      // keep-alive for TableChunkStream sources
   std::vector<std::shared_ptr<TempSpill>> spills;
   // A breaker's residual per-chunk map (two-pass encode, probe-side join),
@@ -416,57 +415,62 @@ Result<col::TablePtr> LazyEngineBase::Execute(
     // Maximal streamable run [i, j).
     size_t j = i;
     while (j < ops.size() && IsStreamable(ops[j])) ++j;
-    const ChunkMapFn chunk_map =
-        RunMap(ops.data() + i, j - i, &worker_policy, std::move(pending_map));
-    pending_map = nullptr;
 
-    // A breaker with its own pipelined fold takes the raw stream plus the
-    // run as a fused pre-map: transforms and partial aggregation ride ONE
-    // stage instead of nesting two drivers (whose workers would otherwise
-    // steal chunks from each other).
-    if (stream_breakers && j < ops.size() &&
-        (ops[j].kind == OpKind::kGroupByAgg || ops[j].kind == OpKind::kPivot ||
-         ops[j].kind == OpKind::kDropDuplicates)) {
-      const Op& breaker = ops[j];
-      int64_t fused_chunks = 0;
-      auto fold = [&]() -> Result<col::TablePtr> {
-        if (breaker.kind == OpKind::kDropDuplicates) {
-          StreamingDedupOptions dd;
-          dd.pipeline = pipe;
-          dd.pre_map = chunk_map;
-          dd.chunks_claimed = &fused_chunks;
-          return StreamingDedup(stream.get(), breaker.columns, dd);
-        }
-        StreamingGroupByOptions gb;
-        gb.pipeline = pipe;
-        gb.pre_map = chunk_map;
-        gb.chunks_claimed = &fused_chunks;
-        if (breaker.kind == OpKind::kPivot) {
-          return StreamingPivot(stream.get(), breaker, policy, gb);
-        }
-        return StreamingGroupBy(stream.get(), breaker.columns, breaker.aggs,
-                                policy, gb);
-      };
-      BENTO_ASSIGN_OR_RETURN(auto folded, fold());
-      ChargeChunks(PerChunkOverheadSeconds(), fused_chunks);
-      resume_from_table(std::move(folded));
-      i = j + 1;
-      continue;
+    // The final run's stage goes to the sink. A breaker with a per-chunk
+    // half names its chunk map, which the run's map takes on (transforms
+    // and the breaker's map ride one stage), and its serial fold, which
+    // consumes that stage in stream order.
+    ParallelPipelineDriver::MapFn breaker_map;
+    StageFold fold;
+    if (j >= ops.size()) {
+      fold = sink ? sink : StageFold(drain);
+    } else if (stream_breakers) {
+      const Op& op = ops[j];
+      switch (op.kind) {
+        case OpKind::kGroupByAgg:
+          breaker_map = GroupByChunkMap(op.columns, op.aggs);
+          fold = [&op](ChunkStream* s) {
+            return StreamingGroupBy(s, op.columns, op.aggs);
+          };
+          break;
+        case OpKind::kPivot:
+          breaker_map = PivotChunkMap(op);
+          fold = [&op](ChunkStream* s) { return StreamingPivot(s, op); };
+          break;
+        case OpKind::kDropDuplicates:
+          breaker_map = DedupChunkMap(op.columns);
+          fold = StreamingDedup;
+          break;
+        default:
+          break;
+      }
     }
 
-    auto stage = TransformStage(stream.get(), chunk_map, pipe);
+    auto stage = TransformStage(
+        stream.get(),
+        RunMap(ops.data() + i, j - i, &worker_policy,
+               std::move(pending_map), std::move(breaker_map)),
+        pipe);
+    pending_map = nullptr;
     // Joins the stage's workers — nothing may still hold the old stream
-    // when `stream` is replaced — and settles its chunk accounting.
+    // when `stream` is replaced — and charges its per-chunk modeled
+    // overhead in one step from this (consumer) thread: session clocks are
+    // consumer-thread state, which pipeline workers cannot touch.
     auto close_stage = [&]() {
       const int64_t chunks = stage->chunks_claimed();
       stage.reset();
-      ChargeChunks(PerChunkOverheadSeconds(), chunks);
+      if (PerChunkOverheadSeconds() > 0 && chunks > 0) {
+        sim::ChargePenalty(PerChunkOverheadSeconds() *
+                           static_cast<double>(chunks));
+      }
     };
-    if (j >= ops.size()) {
-      BENTO_ASSIGN_OR_RETURN(current, drain(stage.get()));
+    if (fold) {
+      BENTO_ASSIGN_OR_RETURN(auto folded, fold(stage.get()));
       close_stage();
-      i = j;
-      break;
+      if (j >= ops.size()) return folded;
+      resume_from_table(std::move(folded));
+      i = j + 1;
+      continue;
     }
     const Op& breaker = ops[j];
     i = j + 1;
@@ -625,46 +629,37 @@ Result<ActionResult> LazyEngineBase::ExecuteAction(
     return frame::ExecAction(table, action, policy);
   }
 
-  if (PlanOverheadSeconds() > 0) sim::ChargePenalty(PlanOverheadSeconds());
-  std::vector<Op> ops = Optimize(plan);
-
-  // The plan is one stage, built exactly as in Execute; the action fold
-  // stays on the calling thread in stream order.
-  const PipelineOptions pipe = ResolvePipelineOptions(policy);
-  const ExecPolicy worker_policy = WorkerPolicy(policy, pipe);
-  BENTO_ASSIGN_OR_RETURN(auto stream, OpenStream(source, ScanSpec{}, pipe));
-  auto transformed = TransformStage(
-      stream.get(), RunMap(ops.data(), ops.size(), &worker_policy, nullptr),
-      pipe);
-
+  // The plan is one run, executed exactly as in Execute; the action fold is
+  // the sink of its stage, on the calling thread in stream order.
   ActionResult result;
   bool first = true;
-  while (true) {
-    BENTO_ASSIGN_OR_RETURN(auto chunk, transformed->Next());
-    if (chunk == nullptr) break;
-    const double penalty = ActionPenaltySeconds(action, chunk);
-    if (penalty > 0) sim::ChargePenalty(penalty);
-    BENTO_ASSIGN_OR_RETURN(auto partial,
-                           frame::ExecAction(chunk, action, policy));
-    if (first) {
-      result = partial;
-      first = false;
+  auto fold = [&](ChunkStream* stage) -> Result<col::TablePtr> {
+    while (true) {
+      BENTO_ASSIGN_OR_RETURN(auto chunk, stage->Next());
+      if (chunk == nullptr) break;
+      const double penalty = ActionPenaltySeconds(action, chunk);
+      if (penalty > 0) sim::ChargePenalty(penalty);
+      BENTO_ASSIGN_OR_RETURN(auto partial,
+                             frame::ExecAction(chunk, action, policy));
+      if (first) {
+        result = std::move(partial);
+        first = false;
+      } else if (action.kind == OpKind::kIsNa) {
+        for (size_t c = 0;
+             c < result.counts.size() && c < partial.counts.size(); ++c) {
+          result.counts[c] += partial.counts[c];
+        }
+      } else if (action.kind == OpKind::kSearchPattern) {
+        result.count += partial.count;
+      }
       if (action.kind == OpKind::kGetColumns ||
           action.kind == OpKind::kGetDtypes) {
         break;  // schema-only actions need one chunk
       }
-      continue;
     }
-    if (action.kind == OpKind::kIsNa) {
-      for (size_t c = 0; c < result.counts.size() && c < partial.counts.size();
-           ++c) {
-        result.counts[c] += partial.counts[c];
-      }
-    } else if (action.kind == OpKind::kSearchPattern) {
-      result.count += partial.count;
-    }
-  }
-  ChargeChunks(PerChunkOverheadSeconds(), transformed->chunks_claimed());
+    return col::TablePtr();  // the fold's output is `result`, not a table
+  };
+  BENTO_RETURN_NOT_OK(RunPlan(source, plan, fold).status());
   if (first) return Status::Invalid("action over an empty stream");
   return result;
 }

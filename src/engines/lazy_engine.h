@@ -164,6 +164,16 @@ class LazyEngineBase : public frame::Engine {
       const PipelineOptions& pipe) const;
 
  private:
+  /// Consumes a stage: a breaker's serial fold, or a final-run sink.
+  using StageFold = std::function<Result<col::TablePtr>(ChunkStream*)>;
+
+  /// The plan runner behind Execute and the streaming ExecuteAction. The
+  /// final run's stage goes to `sink` (an action fold) or, when `sink` is
+  /// null, is drained into the returned table.
+  Result<col::TablePtr> RunPlan(const LazySource& source,
+                                const std::vector<frame::Op>& plan,
+                                const StageFold& sink) const;
+
   bool optimizer_enabled_ = true;
 };
 

@@ -237,26 +237,46 @@ Result<TablePtr> RestoreSeqOrder(const TablePtr& table) {
   return sorted->DropColumns({kSeqColumn});
 }
 
+/// The partial specs the chunk map computes (`merge` false) or the merge
+/// specs the fold applies (`merge` true), flattened over every decomposed
+/// aggregation. Both end with the first-seen-order column, which rides
+/// along in every mode so spill can engage mid-stream; FinalizeAggs drops
+/// it (it only selects keys+outputs).
+std::vector<AggSpec> FlattenSpecs(const std::vector<DecomposedAgg>& decomposed,
+                                  bool merge) {
+  std::vector<AggSpec> specs;
+  for (const DecomposedAgg& d : decomposed) {
+    const std::vector<AggSpec>& part = merge ? d.merges : d.partials;
+    specs.insert(specs.end(), part.begin(), part.end());
+  }
+  specs.push_back(AggSpec{kSeqColumn, AggKind::kMin, kSeqColumn});
+  return specs;
+}
+
+/// The pivot aggregates down to one row per (index, columns) pair.
+std::vector<AggSpec> PivotAggs(const frame::Op& op) {
+  return {AggSpec{op.pivot_values, op.pivot_agg, "__pivot_value"}};
+}
+
+/// Hidden per-row hash column attached by the dedup's chunk map; the fold
+/// pops it and applies the first-seen filter in strict stream order, so the
+/// kept rows are identical for any worker count.
+constexpr const char* kHashColumn = "__dedup_hash";
+
 }  // namespace
 
-Result<TablePtr> StreamingGroupBy(ChunkStream* input,
-                                  const std::vector<std::string>& keys,
-                                  const std::vector<AggSpec>& aggs,
-                                  const ExecPolicy& policy,
-                                  const StreamingGroupByOptions& options) {
-  auto decomposed = DecomposeAggs(aggs);
-  std::vector<AggSpec> partial_specs;
-  std::vector<AggSpec> merge_specs;
-  for (const DecomposedAgg& d : decomposed) {
-    partial_specs.insert(partial_specs.end(), d.partials.begin(),
-                         d.partials.end());
-    merge_specs.insert(merge_specs.end(), d.merges.begin(), d.merges.end());
-  }
-
-  // Partial count columns decode as int64 but merge through kSum (float64);
-  // normalize them to float64 so compacted and fresh partials share a schema.
-  auto normalize = [&](TablePtr partial) -> Result<TablePtr> {
-    for (const kern::AggSpec& spec : partial_specs) {
+ParallelPipelineDriver::MapFn GroupByChunkMap(
+    const std::vector<std::string>& keys, const std::vector<AggSpec>& aggs) {
+  return [keys, partial_specs = FlattenSpecs(DecomposeAggs(aggs), false)](
+             TablePtr chunk, int64_t seq) -> Result<TablePtr> {
+    if (chunk->num_rows() == 0) return chunk;  // fold skips empty partials
+    BENTO_ASSIGN_OR_RETURN(chunk, AttachSeqColumn(chunk, seq));
+    BENTO_ASSIGN_OR_RETURN(auto partial,
+                           kern::GroupBy(chunk, keys, partial_specs));
+    // Partial count columns decode as int64 but merge through kSum
+    // (float64); normalize them to float64 so compacted and fresh partials
+    // share a schema.
+    for (const AggSpec& spec : partial_specs) {
       if (spec.kind != AggKind::kCount) continue;
       BENTO_ASSIGN_OR_RETURN(auto column, partial->GetColumn(spec.output_name));
       if (column->type() == col::TypeId::kInt64) {
@@ -273,11 +293,14 @@ Result<TablePtr> StreamingGroupBy(ChunkStream* input,
     }
     return partial;
   };
+}
 
-  // The first-seen-order column rides along in every mode so spill can
-  // engage mid-stream; FinalizeAggs drops it (it only selects keys+outputs).
-  partial_specs.push_back(AggSpec{kSeqColumn, AggKind::kMin, kSeqColumn});
-  merge_specs.push_back(AggSpec{kSeqColumn, AggKind::kMin, kSeqColumn});
+Result<TablePtr> StreamingGroupBy(ChunkStream* partial_stream,
+                                  const std::vector<std::string>& keys,
+                                  const std::vector<AggSpec>& aggs,
+                                  const StreamingGroupByOptions& options) {
+  const auto decomposed = DecomposeAggs(aggs);
+  const std::vector<AggSpec> merge_specs = FlattenSpecs(decomposed, true);
 
   int64_t spill_threshold = options.spill_threshold_bytes;
   if (spill_threshold < 0) {
@@ -300,31 +323,11 @@ Result<TablePtr> StreamingGroupBy(ChunkStream* input,
     return Status::OK();
   };
 
-  // Per-chunk partial aggregation as a pure map: the fused upstream
-  // transforms, the hidden first-seen-order column, the local GroupBy and
-  // the count normalization. With pipeline workers the
-  // map runs concurrently across chunks; the fold below consumes partials
-  // strictly in stream order through the same serial merge code either
-  // way, so the result is bit-identical for any worker count.
-  auto partial_map = [&keys, &partial_specs, &normalize,
-                      pre_map = options.pre_map](
-                         TablePtr chunk, int64_t seq) -> Result<TablePtr> {
-    if (pre_map) {
-      BENTO_ASSIGN_OR_RETURN(chunk, pre_map(std::move(chunk)));
-    }
-    if (chunk->num_rows() == 0) return chunk;  // fold skips empty partials
-    BENTO_ASSIGN_OR_RETURN(chunk, AttachSeqColumn(chunk, seq));
-    BENTO_ASSIGN_OR_RETURN(auto partial,
-                           kern::GroupBy(chunk, keys, partial_specs));
-    return normalize(std::move(partial));
-  };
-  ParallelPipelineDriver partial_stream(input, partial_map, options.pipeline);
-
   std::vector<TablePtr> partials;
   int64_t partial_bytes = 0;
   constexpr size_t kCompactEvery = 16;
   while (true) {
-    BENTO_ASSIGN_OR_RETURN(auto partial, partial_stream.Next());
+    BENTO_ASSIGN_OR_RETURN(auto partial, partial_stream->Next());
     if (partial == nullptr) break;
     if (partial->num_rows() == 0) continue;
     if (store != nullptr) {
@@ -356,9 +359,6 @@ Result<TablePtr> StreamingGroupBy(ChunkStream* input,
       partial_bytes = static_cast<int64_t>(compacted->ByteSize());
       partials.push_back(std::move(compacted));
     }
-  }
-  if (options.chunks_claimed != nullptr) {
-    *options.chunks_claimed = partial_stream.chunks_claimed();
   }
 
   if (store != nullptr) {
@@ -620,19 +620,9 @@ Result<std::string> ExternalSortToFile(ChunkStream* input,
   return path;
 }
 
-Result<TablePtr> StreamingDedup(ChunkStream* input,
-                                const std::vector<std::string>& subset,
-                                const StreamingDedupOptions& options) {
-  // Hidden per-row hash column attached by the (parallelizable) map stage;
-  // the serial fold below pops it and applies the first-seen filter in
-  // strict stream order, so the kept rows are identical for any worker
-  // count.
-  constexpr const char* kHashColumn = "__dedup_hash";
-  auto hash_map = [&subset, pre_map = options.pre_map](
-                      TablePtr chunk, int64_t) -> Result<TablePtr> {
-    if (pre_map) {
-      BENTO_ASSIGN_OR_RETURN(chunk, pre_map(std::move(chunk)));
-    }
+ParallelPipelineDriver::MapFn DedupChunkMap(
+    const std::vector<std::string>& subset) {
+  return [subset](TablePtr chunk, int64_t) -> Result<TablePtr> {
     if (chunk->num_rows() == 0) return chunk;
     BENTO_ASSIGN_OR_RETURN(auto hashes, kern::HashRows(chunk, subset));
     col::Int64Builder b;
@@ -643,12 +633,13 @@ Result<TablePtr> StreamingDedup(ChunkStream* input,
     BENTO_ASSIGN_OR_RETURN(auto column, b.Finish());
     return chunk->SetColumn(kHashColumn, std::move(column));
   };
-  ParallelPipelineDriver hashed_stream(input, hash_map, options.pipeline);
+}
 
+Result<TablePtr> StreamingDedup(ChunkStream* hashed) {
   std::unordered_set<uint64_t> seen;
   std::vector<TablePtr> kept;
   while (true) {
-    BENTO_ASSIGN_OR_RETURN(auto chunk, hashed_stream.Next());
+    BENTO_ASSIGN_OR_RETURN(auto chunk, hashed->Next());
     if (chunk == nullptr) break;
     if (chunk->num_rows() == 0) continue;
     BENTO_ASSIGN_OR_RETURN(auto hash_column, chunk->GetColumn(kHashColumn));
@@ -663,26 +654,24 @@ Result<TablePtr> StreamingDedup(ChunkStream* input,
     BENTO_ASSIGN_OR_RETURN(auto filtered, kern::FilterTable(chunk, mask));
     if (filtered->num_rows() > 0) kept.push_back(std::move(filtered));
   }
-  if (options.chunks_claimed != nullptr) {
-    *options.chunks_claimed = hashed_stream.chunks_claimed();
-  }
   if (kept.empty()) {
     return Status::Invalid("streaming dedup over an empty stream");
   }
   return col::ConcatTablesReleasing(&kept);
 }
 
-Result<TablePtr> StreamingPivot(ChunkStream* input, const frame::Op& op,
-                                const ExecPolicy& policy,
+ParallelPipelineDriver::MapFn PivotChunkMap(const frame::Op& op) {
+  return GroupByChunkMap({op.pivot_index, op.pivot_columns}, PivotAggs(op));
+}
+
+Result<TablePtr> StreamingPivot(ChunkStream* partials, const frame::Op& op,
                                 const StreamingGroupByOptions& options) {
   // Aggregate down to one row per (index, columns) pair, then pivot the
   // small result in memory.
-  std::vector<AggSpec> aggs = {
-      AggSpec{op.pivot_values, op.pivot_agg, "__pivot_value"}};
   BENTO_ASSIGN_OR_RETURN(
       auto grouped,
-      StreamingGroupBy(input, {op.pivot_index, op.pivot_columns}, aggs,
-                       policy, options));
+      StreamingGroupBy(partials, {op.pivot_index, op.pivot_columns},
+                       PivotAggs(op), options));
   // Cell groups are unique, so any decomposable agg of the single value
   // reproduces it; the output column names match the kernel's convention.
   return kern::PivotTable(grouped, op.pivot_index, op.pivot_columns,
@@ -854,7 +843,7 @@ Result<TablePtr> MaterializeStreamMapped(ChunkStream* input,
     const int num_cols = schema->num_fields();
 
     // One column's worth of reassembly (all row groups of one column,
-    // concatenated). Readers are per-call when parallel — a shared reader
+    // concatenated). Each window slot has its own reader — a shared reader
     // would race on its cursor.
     auto produce_column = [&](io::BcfReader* reader,
                               int c) -> Result<col::ArrayPtr> {
@@ -869,13 +858,14 @@ Result<TablePtr> MaterializeStreamMapped(ChunkStream* input,
       return column->column(0);
     };
 
-    // Parallel compaction: a bounded window of columns is reassembled
+    // Windowed compaction: a bounded window of columns is reassembled
     // concurrently ahead of the serial, schema-ordered writer. Peak memory
     // is the window, never the frame; the window shrinks to whatever the
     // pool's remaining headroom can hold (per-column estimate from the
-    // spill's own byte count, doubled for the concat's transient parts).
-    int window = options.compact_workers;
-    if (window > 1 && num_cols > 1) {
+    // spill's own byte count, doubled for the concat's transient parts). A
+    // window of one is the serial column-at-a-time pass.
+    int window = std::max(1, std::min(options.compact_workers, num_cols));
+    if (window > 1) {
       sim::Session* session = sim::Session::Current();
       const uint64_t headroom =
           session != nullptr ? session->host_pool()->HeadroomBytes()
@@ -892,31 +882,25 @@ Result<TablePtr> MaterializeStreamMapped(ChunkStream* input,
         window = static_cast<int>(std::min<uint64_t>(
             static_cast<uint64_t>(window), std::max<uint64_t>(1, fit)));
       }
-      window = std::min(window, num_cols);
-    }
-    if (window <= 1) {
-      // Serial column-at-a-time pass (the bounded-memory baseline).
-      BENTO_RETURN_NOT_OK(dst->AppendColumnGroup(
-          schema, src->num_rows(), [&](int c) -> Result<col::ArrayPtr> {
-            return produce_column(src.get(), c);
-          }));
-      return dst->Finish();
     }
 
     // One long-lived reader per window slot: task k of every refill uses
     // slot k exclusively, so no cursor is shared, and the (metadata-heavy)
-    // open cost is paid once per slot, not once per column.
+    // open cost is paid once per slot, not once per column. Slot 0 reuses
+    // the reader already open.
+    const int64_t num_rows = src->num_rows();
     std::vector<std::unique_ptr<io::BcfReader>> readers(
         static_cast<size_t>(window));
-    for (auto& reader : readers) {
-      BENTO_ASSIGN_OR_RETURN(reader, io::BcfReader::Open(spill_path));
+    readers[0] = std::move(src);
+    for (size_t k = 1; k < readers.size(); ++k) {
+      BENTO_ASSIGN_OR_RETURN(readers[k], io::BcfReader::Open(spill_path));
     }
     std::vector<col::ArrayPtr> produced;
     int produced_base = 0;
     sim::ParallelOptions popts = options.parallel_options;
     popts.max_workers = window;
     BENTO_RETURN_NOT_OK(dst->AppendColumnGroup(
-        schema, src->num_rows(), [&](int c) -> Result<col::ArrayPtr> {
+        schema, num_rows, [&](int c) -> Result<col::ArrayPtr> {
           if (c >= produced_base + static_cast<int>(produced.size())) {
             // The writer consumed the window; refill it in parallel.
             produced_base = c;

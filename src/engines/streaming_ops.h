@@ -17,7 +17,10 @@ namespace bento::eng {
 /// operators, used by the SparkSQL-model engine. These consume a ChunkStream
 /// and keep peak memory at O(groups), O(run), or O(distinct) instead of
 /// O(dataset) — the property that lets SparkSQL finish the largest datasets
-/// on the laptop configuration (Table V).
+/// on the laptop configuration (Table V). Group-by, pivot and dedup split
+/// into a pure chunk map, which the executor appends to the run's stage
+/// map, and a serial fold that consumes that stage in stream order, so the
+/// result is bit-identical for any worker count.
 
 /// \brief Spill controls for the bounded-memory group-by.
 struct StreamingGroupByOptions {
@@ -28,39 +31,26 @@ struct StreamingGroupByOptions {
   /// (budget/8); 0 forces spill from the first chunk (tests); a huge value
   /// keeps everything in memory.
   int64_t spill_threshold_bytes = -1;
-  /// Parallel-pipeline shape for the per-chunk partial aggregation (the
-  /// fused transforms + local GroupBy map). The serial fold that merges
-  /// partials, compacts and spills always runs on the calling thread in
-  /// stream order, so the result is bit-identical for any worker count.
-  PipelineOptions pipeline;
-  /// Fused upstream transform run applied to every chunk before the partial
-  /// aggregation (set by the executor so transforms and aggregation ride
-  /// one pipeline stage instead of nesting two).
-  ChunkMapFn pre_map;
-  /// When set, receives the number of chunks claimed from the input (for
-  /// per-chunk virtual-time overheads charged by the driver thread).
-  int64_t* chunks_claimed = nullptr;
 };
 
-/// \brief Pipeline controls for the streaming dedup (same contract as the
-/// group-by: hashing parallelizes per chunk, the first-seen filter stays
-/// serial in stream order).
-struct StreamingDedupOptions {
-  PipelineOptions pipeline;
-  ChunkMapFn pre_map;
-  int64_t* chunks_claimed = nullptr;
-};
+/// \brief Per-chunk half of the streamed group-by: attaches the hidden
+/// first-seen-order column (from the chunk's `seq`), aggregates the chunk
+/// locally into decomposed partials (sum/count/min/max/sumsq) and
+/// normalizes partial counts to float64.
+ParallelPipelineDriver::MapFn GroupByChunkMap(
+    const std::vector<std::string>& keys,
+    const std::vector<kern::AggSpec>& aggs);
 
-/// \brief Partial-aggregation group-by: per-chunk local aggregation into
-/// decomposed partials (sum/count/min/max/sumsq), periodic compaction, exact
-/// final merge. Peak memory O(#groups) — and when even the group state
-/// outgrows the budget, partials hash-partition to a SpillFrameStore and
-/// merge per partition, restoring the stream's first-seen group order
-/// through a hidden min-row-index column. Bit-identical to the in-memory
-/// path in both modes.
+/// \brief Partial-aggregation group-by fold over a stage mapped by
+/// GroupByChunkMap(keys, aggs): periodic compaction, exact final merge.
+/// Peak memory O(#groups) — and when even the group state outgrows the
+/// budget, partials hash-partition to a SpillFrameStore and merge per
+/// partition, restoring the stream's first-seen group order through the
+/// hidden min-row-index column. Bit-identical to the in-memory path in both
+/// modes.
 Result<col::TablePtr> StreamingGroupBy(
-    ChunkStream* input, const std::vector<std::string>& keys,
-    const std::vector<kern::AggSpec>& aggs, const frame::ExecPolicy& policy,
+    ChunkStream* partials, const std::vector<std::string>& keys,
+    const std::vector<kern::AggSpec>& aggs,
     const StreamingGroupByOptions& options = {});
 
 /// \brief External merge sort: sorted runs of `run_rows` rows spill to
@@ -79,19 +69,26 @@ Result<std::string> ExternalSortToFile(ChunkStream* input,
                                        const frame::ExecPolicy& policy,
                                        int64_t run_rows = 256 * 1024);
 
-/// \brief Streaming deduplication on 64-bit row hashes over `subset`
-/// columns. Peak memory O(#distinct hashes). Hash collisions would drop a
-/// non-duplicate row (probability ~ n^2 / 2^64, negligible at benchmarked
-/// scales; the trade Spark's partial dedup makes too).
-Result<col::TablePtr> StreamingDedup(ChunkStream* input,
-                                     const std::vector<std::string>& subset,
-                                     const StreamingDedupOptions& options = {});
+/// \brief Per-chunk half of the streaming dedup: attaches each row's 64-bit
+/// hash over `subset` as a hidden column.
+ParallelPipelineDriver::MapFn DedupChunkMap(
+    const std::vector<std::string>& subset);
 
-/// \brief Streaming pivot: decomposed group-by on (index, columns) followed
-/// by a small in-memory pivot of the aggregated result.
-Result<col::TablePtr> StreamingPivot(ChunkStream* input,
-                                     const frame::Op& op,
-                                     const frame::ExecPolicy& policy,
+/// \brief Streaming deduplication fold over a stage mapped by DedupChunkMap:
+/// keeps each row whose hash is seen first, in stream order. Peak memory
+/// O(#distinct hashes). Hash collisions would drop a non-duplicate row
+/// (probability ~ n^2 / 2^64, negligible at benchmarked scales; the trade
+/// Spark's partial dedup makes too).
+Result<col::TablePtr> StreamingDedup(ChunkStream* hashed);
+
+/// \brief Per-chunk half of the streaming pivot: the group-by chunk map on
+/// (index, columns).
+ParallelPipelineDriver::MapFn PivotChunkMap(const frame::Op& op);
+
+/// \brief Streaming pivot fold over a stage mapped by PivotChunkMap(op):
+/// decomposed group-by on (index, columns) followed by a small in-memory
+/// pivot of the aggregated result.
+Result<col::TablePtr> StreamingPivot(ChunkStream* partials, const frame::Op& op,
                                      const StreamingGroupByOptions& options = {});
 
 /// \brief Grace hash join: both sides hash-partition on their key into a
@@ -123,8 +120,8 @@ struct MaterializeOptions {
   /// Columns compacted concurrently during the mapped materialization's
   /// compaction pass. The pass produces a bounded window of this many
   /// columns in parallel ahead of the (serial, schema-ordered) writer, so
-  /// peak memory is O(window columns), never the frame; <= 1 keeps the
-  /// fully serial column-at-a-time pass. The window shrinks automatically
+  /// peak memory is O(window columns), never the frame; a window of one is
+  /// the serial column-at-a-time pass. The window shrinks automatically
   /// when the pool's headroom cannot hold it.
   int compact_workers = 1;
   /// Backend for the window's column tasks (the pipeline's policy: kReal

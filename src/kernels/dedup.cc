@@ -26,7 +26,7 @@ Result<TablePtr> DropDuplicates(const TablePtr& table,
   BENTO_ASSIGN_OR_RETURN(auto rows, RadixRows::Scatter(hashes, parts, options));
 
   std::vector<std::vector<int64_t>> part_keep(static_cast<size_t>(parts));
-  BENTO_RETURN_NOT_OK(sim::ParallelForOrInline(
+  BENTO_RETURN_NOT_OK(sim::ParallelFor(
       parts,
       [&](int64_t p) -> Status {
         BENTO_TRACE_SPAN(kKernel, "dedup.morsel.partition");

@@ -152,7 +152,7 @@ Result<TablePtr> GroupBy(const TablePtr& table,
     std::vector<AggState> states;  // [group * naggs + agg]
   };
   std::vector<PartStates> part_out(static_cast<size_t>(parts));
-  BENTO_RETURN_NOT_OK(sim::ParallelForOrInline(
+  BENTO_RETURN_NOT_OK(sim::ParallelFor(
       parts,
       [&](int64_t p) -> Status {
         BENTO_TRACE_SPAN(kKernel, "groupby.morsel.partition");

@@ -127,7 +127,7 @@ Result<std::vector<uint64_t>> HashRows(
   auto ranges = sim::SplitRange(n, sim::ResolveWorkers(options), 8192);
   // Tasks own disjoint row ranges; every task sweeps all key columns so the
   // combiner order is the same for every split.
-  BENTO_RETURN_NOT_OK(sim::ParallelForOrInline(
+  BENTO_RETURN_NOT_OK(sim::ParallelFor(
       static_cast<int64_t>(ranges.size()),
       [&](int64_t r) {
         auto [b, e] = ranges[static_cast<size_t>(r)];

@@ -153,7 +153,7 @@ Result<GatherPlan> PlanGather(const std::vector<int64_t>& indices,
   plan.ranges = sim::MorselRanges(n, sim::ResolveWorkers(options));
   std::vector<int64_t> first_bad(plan.ranges.size(), -1);
   std::vector<uint8_t> has_negative(plan.ranges.size(), 0);
-  BENTO_RETURN_NOT_OK(sim::ParallelForOrInline(
+  BENTO_RETURN_NOT_OK(sim::ParallelFor(
       static_cast<int64_t>(plan.ranges.size()),
       [&](int64_t r) {
         auto [b, e] = plan.ranges[static_cast<size_t>(r)];
@@ -204,7 +204,7 @@ Result<GatheredBuffers> GatherFixed(const ArrayPtr& values, const T* src,
   const uint8_t* src_valid = values->validity_bits();
 
   std::vector<int64_t> valid_counts(plan.ranges.size(), 0);
-  BENTO_RETURN_NOT_OK(sim::ParallelForOrInline(
+  BENTO_RETURN_NOT_OK(sim::ParallelFor(
       static_cast<int64_t>(plan.ranges.size()),
       [&](int64_t r) {
         auto [b, e] = plan.ranges[static_cast<size_t>(r)];
@@ -265,7 +265,7 @@ Result<ArrayPtr> GatherString(const ArrayPtr& values,
   const size_t nranges = plan.ranges.size();
   std::vector<int64_t> range_bytes(nranges, 0);
   std::vector<int64_t> valid_counts(nranges, 0);
-  BENTO_RETURN_NOT_OK(sim::ParallelForOrInline(
+  BENTO_RETURN_NOT_OK(sim::ParallelFor(
       static_cast<int64_t>(nranges),
       [&](int64_t r) {
         auto [b, e] = plan.ranges[static_cast<size_t>(r)];
@@ -300,7 +300,7 @@ Result<ArrayPtr> GatherString(const ArrayPtr& values,
   // Pass 2: staged lengths -> absolute offsets. Each range reads and writes
   // only its own off[b+1..e]; off[b] was finalized by the preceding range
   // (and off[0] is the buffer's zero initialization).
-  BENTO_RETURN_NOT_OK(sim::ParallelForOrInline(
+  BENTO_RETURN_NOT_OK(sim::ParallelFor(
       static_cast<int64_t>(nranges),
       [&](int64_t r) {
         auto [b, e] = plan.ranges[static_cast<size_t>(r)];
@@ -318,7 +318,7 @@ Result<ArrayPtr> GatherString(const ArrayPtr& values,
   char* dst_chars = reinterpret_cast<char*>(chars->mutable_data());
 
   // Pass 3: byte copies into disjoint [off[i], off[i+1]) spans.
-  BENTO_RETURN_NOT_OK(sim::ParallelForOrInline(
+  BENTO_RETURN_NOT_OK(sim::ParallelFor(
       static_cast<int64_t>(nranges),
       [&](int64_t r) {
         auto [b, e] = plan.ranges[static_cast<size_t>(r)];

@@ -117,6 +117,29 @@ Result<Scalar> MomentsToScalar(const Moments& m, AggKind kind) {
   return Scalar::Null();
 }
 
+/// The column's non-null, non-NaN values, sorted ascending.
+std::vector<double> SortedValues(const Array& values) {
+  std::vector<double> data;
+  data.reserve(static_cast<size_t>(values.length()));
+  for (int64_t i = 0; i < values.length(); ++i) {
+    if (!values.IsValid(i)) continue;
+    double v = CellValue(values, i);
+    if (!std::isnan(v)) data.push_back(v);
+  }
+  std::sort(data.begin(), data.end());
+  return data;
+}
+
+/// q-th quantile of `sorted` by linear interpolation.
+Result<double> SortedQuantile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return Status::Invalid("quantile of empty column");
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
 }  // namespace
 
 Result<Scalar> Aggregate(const ArrayPtr& values, AggKind kind) {
@@ -127,20 +150,7 @@ Result<Scalar> Aggregate(const ArrayPtr& values, AggKind kind) {
 Result<double> Quantile(const ArrayPtr& values, double q) {
   BENTO_RETURN_NOT_OK(CheckAggregatable(values));
   if (q < 0.0 || q > 1.0) return Status::Invalid("quantile q must be in [0,1]");
-  std::vector<double> data;
-  data.reserve(static_cast<size_t>(values->length()));
-  for (int64_t i = 0; i < values->length(); ++i) {
-    if (!values->IsValid(i)) continue;
-    double v = CellValue(*values, i);
-    if (!std::isnan(v)) data.push_back(v);
-  }
-  if (data.empty()) return Status::Invalid("quantile of empty column");
-  std::sort(data.begin(), data.end());
-  const double pos = q * static_cast<double>(data.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, data.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return data[lo] * (1.0 - frac) + data[hi] * frac;
+  return SortedQuantile(SortedValues(*values), q);
 }
 
 Result<double> QuantileApprox(const ArrayPtr& values, double q) {
@@ -203,8 +213,12 @@ Result<ColumnStats> DescribeOneColumn(const col::Field& field,
   Scalar std_s = MomentsToScalar(cs.m, AggKind::kStd).ValueOrDie();
   cs.std_null = std_s.is_null();
   if (!cs.std_null) cs.std_value = std_s.double_value();
+  // Exact percentiles share one sorted copy.
+  std::vector<double> sorted;
+  if (!approx_quantiles) sorted = SortedValues(*values);
   auto quantile = [&](double q) {
-    return approx_quantiles ? QuantileApprox(values, q) : Quantile(values, q);
+    return approx_quantiles ? QuantileApprox(values, q)
+                            : SortedQuantile(sorted, q);
   };
   BENTO_ASSIGN_OR_RETURN(cs.p25, quantile(0.25));
   BENTO_ASSIGN_OR_RETURN(cs.p50, quantile(0.50));

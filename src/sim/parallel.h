@@ -68,21 +68,13 @@ inline constexpr ParallelOptions kOneWorker{.max_workers = 1};
 /// installed on the workers so allocations still charge the session budget.
 /// No time credit is granted — wall time genuinely shrinks instead. Nested
 /// ParallelFor calls issued from inside a task run serially inline.
+///
+/// In both modes a single task runs inline on the caller: one task has
+/// nothing to overlap, so it is no scheduled task and is charged no
+/// `per_task_dispatch_s` — a small input (one morsel, one partition, one
+/// block) costs what a serial body costs.
 Status ParallelFor(int64_t n, const std::function<Status(int64_t)>& fn,
                    const ParallelOptions& options = {});
-
-/// \brief ParallelFor for kernel fan-outs whose task count follows the
-/// data (morsel ranges, radix partitions). A single task runs inline on the
-/// caller: one range or partition has nothing to overlap, so it is no
-/// scheduled task and is charged no `per_task_dispatch_s` — a small input
-/// costs what a serial kernel body costs. Two or more tasks go through
-/// ParallelFor.
-inline Status ParallelForOrInline(int64_t n,
-                                  const std::function<Status(int64_t)>& fn,
-                                  const ParallelOptions& options) {
-  if (n == 1) return fn(0);
-  return ParallelFor(n, fn, options);
-}
 
 /// \brief Pure makespan computation (exposed for tests): schedules
 /// `durations` in order onto `workers` workers under `policy`.

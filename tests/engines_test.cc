@@ -229,7 +229,8 @@ TEST(StreamingOpsTest, GroupByMatchesKernel) {
                                      {"v", kern::AggKind::kMax, "hi"}};
   auto expected = kern::GroupBy(t, {"k"}, aggs).ValueOrDie();
   TableChunkStream stream(t, 257);
-  auto streaming = StreamingGroupBy(&stream, {"k"}, aggs, {}).ValueOrDie();
+  ParallelPipelineDriver stage(&stream, GroupByChunkMap({"k"}, aggs), {});
+  auto streaming = StreamingGroupBy(&stage, {"k"}, aggs).ValueOrDie();
   ASSERT_EQ(expected->num_rows(), streaming->num_rows());
   // Compare after sorting by key; float agreement to 1e-9 relative.
   auto se = kern::SortTable(expected, {{"k", true}}).ValueOrDie();
@@ -269,35 +270,39 @@ TEST(StreamingOpsTest, DedupMatchesKernel) {
   auto t = RandomTable(2000, 17);
   auto expected = kern::DropDuplicates(t, {"k", "s"}).ValueOrDie();
   TableChunkStream stream(t, 111);
-  auto streaming = StreamingDedup(&stream, {"k", "s"}).ValueOrDie();
+  ParallelPipelineDriver stage(&stream, DedupChunkMap({"k", "s"}), {});
+  auto streaming = StreamingDedup(&stage).ValueOrDie();
   EXPECT_EQ(expected->num_rows(), streaming->num_rows());
   test::ExpectTablesEqual(expected, streaming);
 }
 
 TEST(StreamingOpsTest, PivotMatchesKernel) {
   auto t = RandomTable(2000, 23);
-  auto expected =
-      kern::PivotTable(t, "k", "s", "v", kern::AggKind::kMean).ValueOrDie();
-  TableChunkStream stream(t, 173);
-  Op op = Op::Pivot("k", "s", "v", kern::AggKind::kMean);
-  auto streaming = StreamingPivot(&stream, op, {}).ValueOrDie();
-  // Column order may differ (first-seen per execution order); compare by
-  // aligned column names after sorting rows by the index.
-  auto se = kern::SortTable(expected, {{"k", true}}).ValueOrDie();
-  auto ss = kern::SortTable(streaming, {{"k", true}}).ValueOrDie();
-  ASSERT_EQ(se->num_rows(), ss->num_rows());
-  for (const std::string& name : se->schema()->names()) {
-    if (name == "k") continue;
-    // Streaming pivot names cells "__pivot_value_<v>"; map accordingly.
-    std::string streaming_name = "__pivot_value_" + name.substr(2);
-    auto a = se->GetColumn(name).ValueOrDie();
-    auto b = ss->GetColumn(streaming_name);
-    ASSERT_TRUE(b.ok()) << streaming_name;
-    for (int64_t r = 0; r < se->num_rows(); ++r) {
-      ASSERT_EQ(a->IsNull(r), b.ValueOrDie()->IsNull(r));
-      if (!a->IsNull(r)) {
-        EXPECT_NEAR(a->float64_data()[r], b.ValueOrDie()->float64_data()[r],
-                    1e-9);
+  for (kern::AggKind agg : {kern::AggKind::kMean, kern::AggKind::kSumSq}) {
+    SCOPED_TRACE(static_cast<int>(agg));
+    auto expected = kern::PivotTable(t, "k", "s", "v", agg).ValueOrDie();
+    TableChunkStream stream(t, 173);
+    Op op = Op::Pivot("k", "s", "v", agg);
+    ParallelPipelineDriver stage(&stream, PivotChunkMap(op), {});
+    auto streaming = StreamingPivot(&stage, op).ValueOrDie();
+    // Column order may differ (first-seen per execution order); compare by
+    // aligned column names after sorting rows by the index.
+    auto se = kern::SortTable(expected, {{"k", true}}).ValueOrDie();
+    auto ss = kern::SortTable(streaming, {{"k", true}}).ValueOrDie();
+    ASSERT_EQ(se->num_rows(), ss->num_rows());
+    for (const std::string& name : se->schema()->names()) {
+      if (name == "k") continue;
+      // Streaming pivot names cells "__pivot_value_<v>"; map accordingly.
+      std::string streaming_name = "__pivot_value_" + name.substr(2);
+      auto a = se->GetColumn(name).ValueOrDie();
+      auto b = ss->GetColumn(streaming_name);
+      ASSERT_TRUE(b.ok()) << streaming_name;
+      for (int64_t r = 0; r < se->num_rows(); ++r) {
+        ASSERT_EQ(a->IsNull(r), b.ValueOrDie()->IsNull(r));
+        if (!a->IsNull(r)) {
+          EXPECT_NEAR(a->float64_data()[r], b.ValueOrDie()->float64_data()[r],
+                      1e-9);
+        }
       }
     }
   }

@@ -201,17 +201,22 @@ TEST(StatsTest, DescribeShape) {
 }
 
 TEST(StatsTest, DescribeWorkerSweepMatchesColumnAggregates) {
-  // Wide table: int, float with nulls, bool, all-null and single-value
-  // columns, plus a string column describe must skip.
+  // Wide table: int, float with nulls, float with nulls and NaNs, bool,
+  // all-null and single-value columns, plus a string column describe must
+  // skip. The exact percentiles share one sort per column; each must still
+  // equal the single-q Quantile.
   Rng rng(17);
   col::Int64Builder ib;
   col::Float64Builder fb;
+  col::Float64Builder nb;
   col::BoolBuilder bb;
   col::StringBuilder sb;
   const int64_t n = 5000;
   for (int64_t i = 0; i < n; ++i) {
     ib.Append(rng.UniformInt(-500, 500));
     fb.AppendMaybe(rng.UniformDouble(-10, 10), !rng.Bernoulli(0.2));
+    nb.AppendMaybe(rng.Bernoulli(0.1) ? std::nan("") : rng.UniformDouble(-9, 9),
+                   !rng.Bernoulli(0.15));
     bb.Append(rng.Bernoulli(0.3));
     sb.Append("x");
   }
@@ -221,13 +226,14 @@ TEST(StatsTest, DescribeWorkerSweepMatchesColumnAggregates) {
   one_valid[7] = true;
   auto t = MakeTable({{"i", ib.Finish().ValueOrDie()},
                       {"f", fb.Finish().ValueOrDie()},
+                      {"nan", nb.Finish().ValueOrDie()},
                       {"s", sb.Finish().ValueOrDie()},
                       {"b", bb.Finish().ValueOrDie()},
                       {"empty", F64(none, invalid)},
                       {"single", F64(none, one_valid)}});
   for (bool approx : {false, true}) {
     auto serial = Describe(t, approx).ValueOrDie();
-    ASSERT_EQ(serial->num_rows(), 5);  // the string column is skipped
+    ASSERT_EQ(serial->num_rows(), 6);  // the string column is skipped
     for (int64_t r = 0; r < serial->num_rows(); ++r) {
       const std::string name(serial->column(0)->GetView(r));
       SCOPED_TRACE(name);

@@ -154,6 +154,31 @@ TEST(ParallelForTest, WorksWithoutSession) {
   EXPECT_EQ(sum, 10);
 }
 
+/// A one-task call has nothing to overlap: it runs inline and is charged no
+/// dispatch latency, in a simulated session and in a real one alike.
+TEST(ParallelForTest, SingleTaskChargesNoDispatch) {
+  for (ExecutionMode mode : {ExecutionMode::kSimulated, ExecutionMode::kReal}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    Session session(MachineSpec::Laptop());
+    session.set_execution_mode(mode);
+    ParallelOptions options;
+    options.per_task_dispatch_s = 10.0;
+    options.mode = mode;
+    int ran = 0;
+    const double before = session.credit_seconds();
+    ASSERT_TRUE(ParallelFor(
+                    1,
+                    [&](int64_t) {
+                      ++ran;
+                      return Status::OK();
+                    },
+                    options)
+                    .ok());
+    EXPECT_EQ(ran, 1);
+    EXPECT_EQ(session.credit_seconds(), before);
+  }
+}
+
 TEST(VirtualTimerTest, CreditsReduceElapsed) {
   Session session(MachineSpec::Laptop());
   VirtualTimer timer;

@@ -250,7 +250,6 @@ TEST(SpillMergePropertyTest, GroupBySpillMergeMatchesUnderSkew) {
                                {"v", AggKind::kCount, "v_cnt"},
                                {"v", AggKind::kMin, "v_min"},
                                {"v", AggKind::kStd, "v_std"}};
-  frame::ExecPolicy policy;
   for (uint64_t seed : {21, 22, 23}) {
     auto t = SkewedTable(5000, seed, /*key_card=*/200);
     auto eager = kern::GroupBy(t, {"k"}, aggs).ValueOrDie();
@@ -261,8 +260,9 @@ TEST(SpillMergePropertyTest, GroupBySpillMergeMatchesUnderSkew) {
       options.spill_partitions = partitions;
       options.spill_threshold_bytes = 0;
       TableChunkStream stream(t, 123);
+      ParallelPipelineDriver stage(&stream, GroupByChunkMap({"k"}, aggs), {});
       auto spilled =
-          StreamingGroupBy(&stream, {"k"}, aggs, policy, options).ValueOrDie();
+          StreamingGroupBy(&stage, {"k"}, aggs, options).ValueOrDie();
       test::ExpectTablesEqual(eager, spilled);
     }
   }
@@ -299,9 +299,10 @@ TEST(SpillMergePropertyTest, GroupBySpillWriteFaultAbortsCleanly) {
   // Let a few frames through, then blow mid-spill.
   sim::SpillFile::InjectFaults(/*write_bytes=*/4096,
                                /*read_bytes=*/UINT64_MAX);
+  const std::vector<AggSpec> aggs = {{"v", AggKind::kSum, "v_sum"}};
   TableChunkStream stream(t, 100);
-  auto result = StreamingGroupBy(&stream, {"k"},
-                                 {{"v", AggKind::kSum, "v_sum"}}, {}, options);
+  ParallelPipelineDriver stage(&stream, GroupByChunkMap({"k"}, aggs), {});
+  auto result = StreamingGroupBy(&stage, {"k"}, aggs, options);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsIOError()) << result.status().ToString();
   EXPECT_NE(result.status().ToString().find("injected"), std::string::npos)

@@ -199,7 +199,6 @@ TEST(StreamingDifferentialTest, ForcedSpillGroupByBitIdentical) {
   auto t = IntValuedTable(6000, /*seed=*/303, /*key_card=*/500);
   auto aggs = TestAggs();
   auto eager = kern::GroupBy(t, {"k"}, aggs).ValueOrDie();
-  frame::ExecPolicy policy;
 
   static obs::Counter* engaged =
       obs::MetricsRegistry::Global().counter("groupby.spill_engaged");
@@ -210,15 +209,18 @@ TEST(StreamingDifferentialTest, ForcedSpillGroupByBitIdentical) {
     options.spill_partitions = partitions;
     options.spill_threshold_bytes = 0;
     TableChunkStream spilled_in(t, 257);
+    ParallelPipelineDriver spilled_stage(&spilled_in,
+                                         GroupByChunkMap({"k"}, aggs), {});
     auto spilled =
-        StreamingGroupBy(&spilled_in, {"k"}, aggs, policy, options).ValueOrDie();
+        StreamingGroupBy(&spilled_stage, {"k"}, aggs, options).ValueOrDie();
     EXPECT_GT(engaged->value(), engaged_before);
     test::ExpectTablesEqual(eager, spilled);
 
     // And the default (never-spill without a session budget) path agrees.
     TableChunkStream memory_in(t, 257);
-    auto in_memory =
-        StreamingGroupBy(&memory_in, {"k"}, aggs, policy).ValueOrDie();
+    ParallelPipelineDriver memory_stage(&memory_in,
+                                        GroupByChunkMap({"k"}, aggs), {});
+    auto in_memory = StreamingGroupBy(&memory_stage, {"k"}, aggs).ValueOrDie();
     test::ExpectTablesEqual(eager, in_memory);
   }
 }
@@ -329,7 +331,6 @@ class PipelineWorkersGuard {
 TEST(StreamingDifferentialTest, GroupByWorkerSweepBitIdentical) {
   auto t = IntValuedTable(5000, /*seed=*/606, /*key_card=*/200);
   auto aggs = TestAggs();
-  frame::ExecPolicy policy;
 
   for (bool collisions : {false, true}) {
     std::optional<kern::ScopedForcedHashCollisions> forced;
@@ -341,15 +342,15 @@ TEST(StreamingDifferentialTest, GroupByWorkerSweepBitIdentical) {
                      " spill=" + std::to_string(spill) +
                      " workers=" + std::to_string(workers));
         StreamingGroupByOptions options;
-        options.pipeline.workers = workers;
         if (spill) options.spill_threshold_bytes = 0;
-        int64_t claimed = 0;
-        options.chunks_claimed = &claimed;
+        PipelineOptions pipe;
+        pipe.workers = workers;
         TableChunkStream in(t, 311);
+        ParallelPipelineDriver stage(&in, GroupByChunkMap({"k"}, aggs), pipe);
         auto result =
-            StreamingGroupBy(&in, {"k"}, aggs, policy, options).ValueOrDie();
+            StreamingGroupBy(&stage, {"k"}, aggs, options).ValueOrDie();
         test::ExpectTablesEqual(eager, result);
-        EXPECT_EQ(claimed, (5000 + 310) / 311);
+        EXPECT_EQ(stage.chunks_claimed(), (5000 + 310) / 311);
       }
     }
   }
@@ -363,20 +364,20 @@ TEST(StreamingDifferentialTest, DedupWorkerSweepBitIdentical) {
   TablePtr baseline;
   {
     TableChunkStream in(t, int64_t{1} << 30);  // whole-table one-shot
-    baseline = StreamingDedup(&in, {"k", "s"}).ValueOrDie();
+    ParallelPipelineDriver stage(&in, DedupChunkMap({"k", "s"}), {});
+    baseline = StreamingDedup(&stage).ValueOrDie();
   }
   for (int workers : {1, 2, 4, 8}) {
     for (int64_t chunk : {int64_t{64}, int64_t{509}}) {
       SCOPED_TRACE("workers=" + std::to_string(workers) +
                    " chunk=" + std::to_string(chunk));
-      StreamingDedupOptions options;
-      options.pipeline.workers = workers;
-      int64_t claimed = 0;
-      options.chunks_claimed = &claimed;
+      PipelineOptions pipe;
+      pipe.workers = workers;
       TableChunkStream in(t, chunk);
-      auto result = StreamingDedup(&in, {"k", "s"}, options).ValueOrDie();
+      ParallelPipelineDriver stage(&in, DedupChunkMap({"k", "s"}), pipe);
+      auto result = StreamingDedup(&stage).ValueOrDie();
       test::ExpectTablesEqual(baseline, result);
-      EXPECT_EQ(claimed, (4000 + chunk - 1) / chunk);
+      EXPECT_EQ(stage.chunks_claimed(), (4000 + chunk - 1) / chunk);
     }
   }
 }
