@@ -51,16 +51,4 @@ Result<BufferPtr> BitmapAnd(const uint8_t* a, const uint8_t* b, int64_t bits) {
   return out;
 }
 
-Result<BufferPtr> BitmapOr(const uint8_t* a, const uint8_t* b, int64_t bits) {
-  // A null input means "all valid", which saturates the OR.
-  if (a == nullptr || b == nullptr) return AllocateBitmap(bits, true);
-  const int64_t nbytes = BitmapBytes(bits);
-  BENTO_ASSIGN_OR_RETURN(auto out,
-                         Buffer::Allocate(static_cast<uint64_t>(nbytes)));
-  uint8_t* dst = out->mutable_data();
-  simd::OrBytes(a, b, dst, nbytes);
-  ClearTrailingBits(dst, bits);
-  return out;
-}
-
 }  // namespace bento::col

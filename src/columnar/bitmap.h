@@ -42,10 +42,6 @@ Result<BufferPtr> AllocateBitmap(int64_t bits, bool value);
 /// ("all valid").
 Result<BufferPtr> BitmapAnd(const uint8_t* a, const uint8_t* b, int64_t bits);
 
-/// \brief out[i] = a[i] | b[i] over `bits` bits; either input may be null
-/// ("all valid"), which saturates the result to all-set.
-Result<BufferPtr> BitmapOr(const uint8_t* a, const uint8_t* b, int64_t bits);
-
 }  // namespace bento::col
 
 #endif  // BENTO_COLUMNAR_BITMAP_H_

@@ -102,7 +102,8 @@ Status SpillFrameStore::Append(int partition, const col::TablePtr& chunk) {
       }
       h.validity_size = bits->size();
     }
-    const io::Encoding enc = io::ChooseEncoding(column);
+    // Frames live for one operator: the in-memory layout, no codec trial.
+    const io::Encoding enc = io::MappableEncoding(column);
     h.encoding = static_cast<uint8_t>(enc);
     BENTO_ASSIGN_OR_RETURN(auto page, io::EncodeArray(column, enc));
     h.data_size = page.size();

@@ -82,15 +82,20 @@ std::vector<DecomposedAgg> DecomposeAggs(const std::vector<AggSpec>& aggs) {
   return out;
 }
 
-double NumericCell(const col::Array& a, int64_t i) {
-  switch (a.type()) {
-    case col::TypeId::kFloat64:
-      return a.float64_data()[i];
-    case col::TypeId::kBool:
-      return a.bool_data()[i] != 0 ? 1.0 : 0.0;
-    default:
-      return static_cast<double>(a.int64_data()[i]);
-  }
+/// Writer options of every temporary BCF run (sort output, spilled
+/// streams, both passes of a mapped materialization): pages in the
+/// in-memory buffer layout (PLAIN fixed-width, STRVIEW strings; DICT only
+/// for categoricals), uncompressed and 8-byte aligned. A run lives for one
+/// stage, so skipping the encoding trial and the DICT/DELTA codecs saves
+/// more CPU than its extra bytes cost in I/O, and an mmap reader can serve
+/// every page zero-copy.
+io::BcfWriteOptions TempRunOptions(int64_t row_group_rows) {
+  io::BcfWriteOptions wopts;
+  wopts.row_group_rows = row_group_rows;
+  wopts.compression = false;
+  wopts.align_pages = true;
+  wopts.mappable = true;
+  return wopts;
 }
 
 /// Finalizes the merged decomposed columns into the requested outputs.
@@ -107,7 +112,7 @@ Result<TablePtr> FinalizeAggs(const TablePtr& merged,
       b.Reserve(n);
       for (int64_t i = 0; i < n; ++i) {
         b.AppendMaybe(cnt->IsValid(i)
-                          ? static_cast<int64_t>(NumericCell(*cnt, i))
+                          ? static_cast<int64_t>(kern::NumericCell(*cnt, i))
                           : 0,
                       cnt->IsValid(i));
       }
@@ -130,7 +135,8 @@ Result<TablePtr> FinalizeAggs(const TablePtr& merged,
           BENTO_ASSIGN_OR_RETURN(v, merged->GetColumn(d.partials[2].output_name));
         }
         for (int64_t i = 0; i < n; ++i) {
-          b.AppendMaybe(v->IsValid(i) ? NumericCell(*v, i) : 0.0, v->IsValid(i));
+          b.AppendMaybe(v->IsValid(i) ? kern::NumericCell(*v, i) : 0.0,
+                        v->IsValid(i));
         }
         break;
       }
@@ -140,11 +146,11 @@ Result<TablePtr> FinalizeAggs(const TablePtr& merged,
         BENTO_ASSIGN_OR_RETURN(auto cnt,
                                merged->GetColumn(d.partials[1].output_name));
         for (int64_t i = 0; i < n; ++i) {
-          const double c = cnt->IsValid(i) ? NumericCell(*cnt, i) : 0.0;
+          const double c = cnt->IsValid(i) ? kern::NumericCell(*cnt, i) : 0.0;
           if (c <= 0.0 || !sum->IsValid(i)) {
             b.AppendNull();
           } else {
-            b.Append(NumericCell(*sum, i) / c);
+            b.Append(kern::NumericCell(*sum, i) / c);
           }
         }
         break;
@@ -157,12 +163,12 @@ Result<TablePtr> FinalizeAggs(const TablePtr& merged,
         BENTO_ASSIGN_OR_RETURN(auto sumsq,
                                merged->GetColumn(d.partials[2].output_name));
         for (int64_t i = 0; i < n; ++i) {
-          const double c = cnt->IsValid(i) ? NumericCell(*cnt, i) : 0.0;
+          const double c = cnt->IsValid(i) ? kern::NumericCell(*cnt, i) : 0.0;
           if (c < 2.0 || !sum->IsValid(i) || !sumsq->IsValid(i)) {
             b.AppendNull();
           } else {
-            const double s = NumericCell(*sum, i);
-            const double ss = NumericCell(*sumsq, i);
+            const double s = kern::NumericCell(*sum, i);
+            const double ss = kern::NumericCell(*sumsq, i);
             double var = (ss - s * s / c) / (c - 1.0);
             b.Append(var > 0.0 ? std::sqrt(var) : 0.0);
           }
@@ -604,10 +610,8 @@ Result<std::string> ExternalSortToFile(ChunkStream* input,
                                        const ExecPolicy& policy,
                                        int64_t run_rows) {
   const std::string path = sim::TempFilePath("bento_run", ".bcf");
-  io::BcfWriteOptions wopts;
-  wopts.row_group_rows = 64 * 1024;
-  wopts.compression = false;
-  BENTO_ASSIGN_OR_RETURN(auto writer, io::BcfWriter::Open(path, wopts));
+  BENTO_ASSIGN_OR_RETURN(auto writer,
+                         io::BcfWriter::Open(path, TempRunOptions(64 * 1024)));
   Status st = ExternalSortImpl(input, keys, policy, run_rows,
                                [&](TablePtr chunk) {
                                  return writer->Append(chunk);
@@ -806,10 +810,9 @@ Result<TablePtr> MaterializeStreamMapped(ChunkStream* input,
   // Pass 1: spill the stream chunk-at-a-time, one row group per chunk.
   const std::string spill_path = sim::TempFilePath("bento_run", ".bcf");
   auto spill = [&]() -> Status {
-    io::BcfWriteOptions wopts;
-    wopts.row_group_rows = 0;  // one group per appended chunk
-    wopts.compression = false;
-    BENTO_ASSIGN_OR_RETURN(auto writer, io::BcfWriter::Open(spill_path, wopts));
+    // Row-group size 0: one group per appended chunk.
+    BENTO_ASSIGN_OR_RETURN(
+        auto writer, io::BcfWriter::Open(spill_path, TempRunOptions(0)));
     for (TablePtr& buffered : pending) {
       BENTO_RETURN_NOT_OK(writer->Append(buffered));
       buffered.reset();
@@ -834,11 +837,8 @@ Result<TablePtr> MaterializeStreamMapped(ChunkStream* input,
   auto compact = [&]() -> Status {
     BENTO_TRACE_SPAN(kIo, "materialize.compact");
     BENTO_ASSIGN_OR_RETURN(auto src, io::BcfReader::Open(spill_path));
-    io::BcfWriteOptions wopts;
-    wopts.compression = false;
-    wopts.align_pages = true;
-    wopts.mappable = true;
-    BENTO_ASSIGN_OR_RETURN(auto dst, io::BcfWriter::Open(mapped_path, wopts));
+    BENTO_ASSIGN_OR_RETURN(
+        auto dst, io::BcfWriter::Open(mapped_path, TempRunOptions(0)));
     const col::SchemaPtr schema = src->schema();
     const int num_cols = schema->num_fields();
 
@@ -944,10 +944,9 @@ Result<TablePtr> MaterializeStreamMapped(ChunkStream* input,
 Result<std::string> SpillStreamToFile(ChunkStream* input) {
   BENTO_TRACE_SPAN(kIo, "spill.stream");
   const std::string path = sim::TempFilePath("bento_run", ".bcf");
-  io::BcfWriteOptions wopts;
-  wopts.row_group_rows = 4096;  // pass-2 readers stream small batches
-  wopts.compression = false;
-  BENTO_ASSIGN_OR_RETURN(auto writer, io::BcfWriter::Open(path, wopts));
+  // Pass-2 readers stream small batches.
+  BENTO_ASSIGN_OR_RETURN(auto writer,
+                         io::BcfWriter::Open(path, TempRunOptions(4096)));
   bool any = false;
   Status st;
   while (true) {

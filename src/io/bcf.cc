@@ -40,11 +40,14 @@ struct PendingChunk {
 
 /// Fills the chunk's zone map from the column's valid values. Bounds are
 /// widened by one ulp so an int64 that doesn't round-trip through double
-/// exactly can never cause a false skip.
+/// exactly can never cause a false skip. NaN cells are left out (no
+/// comparison predicate matches them), and a chunk whose bounds are not
+/// finite gets no stats: the footer is JSON, which has no inf.
 void ComputeStats(const col::ArrayPtr& column, PendingChunk* chunk) {
   double min = 0.0, max = 0.0;
   bool any = false;
   auto update = [&](double v) {
+    if (std::isnan(v)) return;
     if (!any) {
       min = max = v;
       any = true;
@@ -72,10 +75,13 @@ void ComputeStats(const col::ArrayPtr& column, PendingChunk* chunk) {
       return;
   }
   if (!any) return;  // all-null chunk: no stats, never skipped
-  chunk->has_stats = true;
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  chunk->min = std::nextafter(min, -kInf);
-  chunk->max = std::nextafter(max, kInf);
+  min = std::nextafter(min, -kInf);
+  max = std::nextafter(max, kInf);
+  if (!std::isfinite(min) || !std::isfinite(max)) return;
+  chunk->has_stats = true;
+  chunk->min = min;
+  chunk->max = max;
 }
 
 Status WriteBytes(std::FILE* f, const void* data, size_t size) {

@@ -36,9 +36,10 @@ struct BcfWriteOptions {
   bool align_pages = false;
   /// Write every page in the in-memory buffer layout (PLAIN fixed-width,
   /// STRVIEW strings) instead of the compact DELTA/RLE encodings, so an
-  /// mmap reader serves the whole file zero-copy. Spill-materialized frames
-  /// use this: combined with align_pages and no compression, a re-mapped
-  /// frame charges (almost) nothing against the memory budget.
+  /// mmap reader serves the whole file zero-copy. Every temporary run and
+  /// the Vaex store use this: combined with align_pages and no compression,
+  /// a re-mapped frame charges (almost) nothing against the memory budget,
+  /// and writing and reading a run costs no codec work.
   bool mappable = false;
 };
 

@@ -109,11 +109,37 @@ Result<std::vector<uint8_t>> EncodeRle(const ArrayPtr& a) {
 /// concatenated character bytes. Null slots repeat the previous offset. This
 /// is exactly the StringArray buffer pair, so aligned uncompressed pages can
 /// be wrapped instead of decoded.
+///
+/// When every null slot spans zero bytes (what builders and the decoders
+/// produce), the source offsets already have that shape: rebase them in one
+/// pass and copy the character range once. Only a null slot that covers
+/// bytes (a kernel's leftover payload) takes the per-row loop.
 Result<std::vector<uint8_t>> EncodeStrView(const ArrayPtr& a) {
   if (a->type() != TypeId::kString) {
     return Status::Invalid("STRVIEW encoding requires string");
   }
   const int64_t n = a->length();
+  const int64_t* src = a->offsets_data();
+  bool bulk = true;
+  if (a->null_count() > 0) {
+    for (int64_t i = 0; i < n && bulk; ++i) {
+      bulk = a->IsValid(i) || src[i] == src[i + 1];
+    }
+  }
+  if (bulk) {
+    const int64_t base = src[0];
+    const uint64_t char_bytes = static_cast<uint64_t>(src[n] - base);
+    std::vector<uint8_t> out(static_cast<size_t>(n + 1) * 8 + char_bytes);
+    for (int64_t i = 0; i <= n; ++i) {
+      const int64_t off = src[i] - base;
+      std::memcpy(out.data() + i * 8, &off, 8);
+    }
+    if (char_bytes > 0) {
+      std::memcpy(out.data() + static_cast<size_t>(n + 1) * 8,
+                  a->chars_data() + base, char_bytes);
+    }
+    return out;
+  }
   uint64_t char_bytes = 0;
   for (int64_t i = 0; i < n; ++i) {
     if (a->IsValid(i)) char_bytes += a->GetView(i).size();

@@ -13,25 +13,6 @@ namespace bento::kern {
 
 namespace {
 
-/// The value of cell `i` as a double. String and categorical inputs (only
-/// kCount accepts them) are never read: a valid cell counts as 0.0, which
-/// feeds exactly the non-null count kCount reports.
-double NumericCell(const Array& a, int64_t i) {
-  switch (a.type()) {
-    case TypeId::kFloat64:
-      return a.float64_data()[i];
-    case TypeId::kBool:
-      return a.bool_data()[i] != 0 ? 1.0 : 0.0;
-    case TypeId::kString:
-    case TypeId::kCategorical:
-      return 0.0;
-    case TypeId::kInt64:
-    case TypeId::kTimestamp:
-      return static_cast<double>(a.int64_data()[i]);
-  }
-  return 0.0;
-}
-
 /// Validates the agg specs and collects their input columns.
 Result<std::vector<ArrayPtr>> CollectAggInputs(const TablePtr& table,
                                                const std::vector<AggSpec>& aggs) {

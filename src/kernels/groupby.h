@@ -9,6 +9,25 @@
 
 namespace bento::kern {
 
+/// \brief The value of cell `i` as a double. String and categorical inputs
+/// (only kCount accepts them) are never read: a valid cell counts as 0.0,
+/// which feeds exactly the non-null count kCount reports.
+inline double NumericCell(const Array& a, int64_t i) {
+  switch (a.type()) {
+    case TypeId::kFloat64:
+      return a.float64_data()[i];
+    case TypeId::kBool:
+      return a.bool_data()[i] != 0 ? 1.0 : 0.0;
+    case TypeId::kString:
+    case TypeId::kCategorical:
+      return 0.0;
+    case TypeId::kInt64:
+    case TypeId::kTimestamp:
+      return static_cast<double>(a.int64_data()[i]);
+  }
+  return 0.0;
+}
+
 /// \brief Accumulator for one (group, aggregation) pair. Tracks the moment
 /// sums plus min/max/count so every AggKind can be finalized from one
 /// struct; `rows` counts all rows routed to the group (kCount semantics

@@ -149,11 +149,4 @@ std::string MetricsRegistry::DumpPrometheusText() const {
   return out;
 }
 
-void MetricsRegistry::ResetAll() {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, hist] : histograms_) hist->Reset();
-}
-
 }  // namespace bento::obs

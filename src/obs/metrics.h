@@ -79,9 +79,6 @@ class MetricsRegistry {
   /// series plus `_sum`/`_count`.
   std::string DumpPrometheusText() const;
 
-  /// Zeroes every instrument (between benchmark repetitions / tests).
-  void ResetAll();
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;

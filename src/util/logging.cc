@@ -61,10 +61,6 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_min_level = static_cast<int>(level); }
-
-LogLevel GetLogLevel() { return static_cast<LogLevel>(MinLevel()); }
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)

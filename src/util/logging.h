@@ -12,10 +12,6 @@ namespace bento {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 4 };
 
-/// \brief Process-wide minimum level for emitted log lines.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
 namespace internal {
 
 /// Accumulates one log line and flushes it (to stderr) on destruction.

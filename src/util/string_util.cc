@@ -1,5 +1,6 @@
 #include "util/string_util.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -100,12 +101,34 @@ Result<bool> ParseBool(std::string_view s) {
   return Status::Invalid("not a boolean: '", std::string(s), "'");
 }
 
+namespace {
+
+/// Significant digits of the shortest text that round-trips finite `v`:
+/// the mantissa of std::to_chars's shortest scientific form, which carries
+/// no padding zeros (the plain form may print a large integer in full).
+int ShortestDigits(double v) {
+  char text[32];
+  const char* end =
+      std::to_chars(text, text + sizeof(text), v, std::chars_format::scientific)
+          .ptr;
+  int digits = 0;
+  for (const char* p = text; p < end && *p != 'e'; ++p) {
+    if (*p >= '0' && *p <= '9') ++digits;
+  }
+  return std::clamp(digits, 1, 17);
+}
+
+}  // namespace
+
 std::string FormatDouble(double v) {
   if (std::isnan(v)) return "nan";
   if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
-  // Shortest representation that round-trips: try increasing precision.
+  // The lowest %g precision that round-trips. No precision below the
+  // shortest digit count can, so the search starts there: usually the first
+  // try prints the value, and only where %g's rounding misses the shortest
+  // form does it go up, as a search from 1 would.
   char buf[64];
-  for (int prec = 1; prec <= 17; ++prec) {
+  for (int prec = ShortestDigits(v); prec <= 17; ++prec) {
     std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
     double back = 0.0;
     std::from_chars(buf, buf + std::strlen(buf), back);

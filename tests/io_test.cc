@@ -2,7 +2,9 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "engines/chunk_stream.h"
@@ -492,6 +494,27 @@ TEST(BcfTest, MultipleRowGroups) {
   EXPECT_EQ(g3->column(0)->int64_data()[0], 900);
   auto back = reader->ReadAll().ValueOrDie();
   test::ExpectTablesEqual(t, back);
+}
+
+TEST(BcfTest, NonFiniteFloatsKeepTheFooterReadable) {
+  // The footer is JSON, which has no inf or nan: a zone map never carries
+  // them. NaN cells stay out of the bounds (no comparison matches them),
+  // and a group whose bounds are infinite is simply never skipped.
+  TempPath path(".bcf");
+  const double inf = std::numeric_limits<double>::infinity();
+  auto t = MakeTable({{"v", F64({std::nan(""), 1.0, 2.0, 3.0, -inf, 4.0})}});
+  BcfWriteOptions options;
+  options.row_group_rows = 3;
+  ASSERT_TRUE(WriteBcf(t, path.str(), options).ok());
+  auto reader = BcfReader::Open(path.str()).ValueOrDie();
+  auto back = reader->ReadAll().ValueOrDie();
+  ASSERT_EQ(back->num_rows(), 6);
+  EXPECT_TRUE(std::isnan(back->column(0)->float64_data()[0]));
+  EXPECT_EQ(back->column(0)->float64_data()[4], -inf);
+  // Group 0 holds {nan, 1, 2}: bounds [1, 2] prune v > 5.
+  EXPECT_FALSE(reader->GroupMayMatch(0, {"v", ScanPredicate::Cmp::kGt, 5.0}));
+  // Group 1 holds {3, -inf, 4}: no stats, never pruned.
+  EXPECT_TRUE(reader->GroupMayMatch(1, {"v", ScanPredicate::Cmp::kGt, 5.0}));
 }
 
 TEST(BcfTest, ColumnProjection) {

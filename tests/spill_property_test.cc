@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "columnar/bitmap.h"
 #include "engines/spill_frames.h"
 #include "engines/streaming_ops.h"
+#include "io/bcf.h"
 #include "kernels/groupby.h"
 #include "kernels/sort.h"
+#include "obs/metrics.h"
 #include "sim/spill.h"
 #include "tests/test_util.h"
 #include "util/random.h"
@@ -319,6 +324,250 @@ TEST(SpillMergePropertyTest, ExternalSortReadFaultAbortsCleanly) {
   auto result = ExternalSort(&stream, {{"k", true}}, {}, /*run_rows=*/200);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsIOError()) << result.status().ToString();
+}
+
+// --- temporary runs in the in-memory layout ---
+//
+// Every temporary run (sorted output, spilled streams, mapped
+// materializations, spill frames) is written PLAIN/STRVIEW with no codec:
+// values must come back bit for bit, whatever the layout of the chunk that
+// was written.
+
+/// A string column whose null slots still cover bytes (what a kernel may
+/// leave behind): the STRVIEW encoder cannot copy its character range in
+/// one block.
+col::ArrayPtr GhostStrings(Rng* rng, int64_t rows) {
+  std::string chars;
+  std::vector<int64_t> offsets = {0};
+  auto validity = col::AllocateBitmap(rows, false).ValueOrDie();
+  for (int64_t i = 0; i < rows; ++i) {
+    chars += "g" + std::to_string(i % 13);
+    offsets.push_back(static_cast<int64_t>(chars.size()));
+    if (!rng->Bernoulli(0.3)) col::SetBit(validity->mutable_data(), i);
+  }
+  return col::Array::MakeString(
+             rows,
+             col::Buffer::CopyOf(offsets.data(), offsets.size() * 8)
+                 .ValueOrDie(),
+             col::Buffer::CopyOf(chars.data(), chars.size()).ValueOrDie(),
+             std::move(validity))
+      .ValueOrDie();
+}
+
+/// Every column type plus the edge cases a run must carry: empty strings,
+/// all-null columns, a categorical, float specials (-0, NaN, inf,
+/// subnormal) and ghost string bytes. Sliced at a row offset that is not a
+/// multiple of 8, so validity starts mid-byte and string offsets do not
+/// start at zero.
+TablePtr EdgeCaseTable(int64_t rows, uint64_t seed) {
+  Rng rng(seed);
+  const int64_t n = rows + 5;
+  col::Int64Builder key, i64;
+  col::Float64Builder f64;
+  col::BoolBuilder flag;
+  col::StringBuilder str;
+  auto stamps = col::Buffer::Allocate(static_cast<uint64_t>(n) * 8)
+                    .ValueOrDie();
+  auto codes = col::Buffer::Allocate(static_cast<uint64_t>(n) * 4)
+                   .ValueOrDie();
+  auto stamp_bits = col::AllocateBitmap(n, false).ValueOrDie();
+  auto code_bits = col::AllocateBitmap(n, false).ValueOrDie();
+  const double specials[] = {-0.0, std::nan(""), -INFINITY, 5e-324, 0.1};
+  for (int64_t i = 0; i < n; ++i) {
+    key.Append(rng.UniformInt(0, 9));
+    i64.AppendMaybe(static_cast<int64_t>(rng.Next()), !rng.Bernoulli(0.2));
+    f64.AppendMaybe(rng.Bernoulli(0.2) ? specials[rng.Uniform(5)]
+                                       : rng.Normal(0.0, 1e6),
+                    !rng.Bernoulli(0.2));
+    flag.AppendMaybe(rng.Bernoulli(0.5), !rng.Bernoulli(0.2));
+    str.AppendMaybe(rng.Bernoulli(0.3) ? std::string()
+                                       : "s" + std::to_string(rng.Next()),
+                    !rng.Bernoulli(0.2));
+    stamps->mutable_data_as<int64_t>()[i] =
+        1600000000000000 + rng.UniformInt(0, 1000000000);
+    if (!rng.Bernoulli(0.2)) col::SetBit(stamp_bits->mutable_data(), i);
+    codes->mutable_data_as<int32_t>()[i] = static_cast<int32_t>(rng.Uniform(4));
+    if (!rng.Bernoulli(0.2)) col::SetBit(code_bits->mutable_data(), i);
+  }
+  auto dict = std::make_shared<std::vector<std::string>>(
+      std::vector<std::string>{"red", "", "green", "blue"});
+  auto t = MakeTable(
+      {{"key", key.Finish().ValueOrDie()},
+       {"i64", i64.Finish().ValueOrDie()},
+       {"f64", f64.Finish().ValueOrDie()},
+       {"flag", flag.Finish().ValueOrDie()},
+       {"str", str.Finish().ValueOrDie()},
+       {"ghost", GhostStrings(&rng, n)},
+       {"ts", col::Array::MakeFixed(col::TypeId::kTimestamp, n,
+                                    std::move(stamps), std::move(stamp_bits))
+                  .ValueOrDie()},
+       {"cat", col::Array::MakeCategorical(n, std::move(codes), dict,
+                                           std::move(code_bits))
+                   .ValueOrDie()},
+       {"null_i64",
+        col::Array::MakeAllNull(col::TypeId::kInt64, n).ValueOrDie()},
+       {"null_str",
+        col::Array::MakeAllNull(col::TypeId::kString, n).ValueOrDie()}});
+  return t->Slice(5, rows).ValueOrDie();
+}
+
+/// Same schema, same validity, and every valid value the same bits
+/// (doubles compare as bytes, so -0.0 and NaN count; categoricals compare
+/// by the string a code names). A null string slot of `actual` spans no
+/// bytes: the encoders write null slots as empty strings.
+::testing::AssertionResult SameBits(const TablePtr& expected,
+                                    const TablePtr& actual) {
+  if (!(*expected->schema() == *actual->schema())) {
+    return ::testing::AssertionFailure() << "schema differs";
+  }
+  if (expected->num_rows() != actual->num_rows()) {
+    return ::testing::AssertionFailure()
+           << actual->num_rows() << " rows, expected " << expected->num_rows();
+  }
+  for (int c = 0; c < expected->num_columns(); ++c) {
+    const col::Array& e = *expected->column(c);
+    const col::Array& a = *actual->column(c);
+    for (int64_t r = 0; r < expected->num_rows(); ++r) {
+      bool same = e.IsValid(r) == a.IsValid(r);
+      if (same && !e.IsValid(r) && a.type() == col::TypeId::kString) {
+        same = a.offsets_data()[r] == a.offsets_data()[r + 1];
+      } else if (same && e.IsValid(r)) {
+        switch (e.type()) {
+          case col::TypeId::kInt64:
+          case col::TypeId::kTimestamp:
+            same = e.int64_data()[r] == a.int64_data()[r];
+            break;
+          case col::TypeId::kFloat64:
+            same = std::memcmp(e.float64_data() + r, a.float64_data() + r,
+                               8) == 0;
+            break;
+          case col::TypeId::kBool:
+            same = e.bool_data()[r] == a.bool_data()[r];
+            break;
+          case col::TypeId::kString:
+            same = e.GetView(r) == a.GetView(r);
+            break;
+          case col::TypeId::kCategorical:
+            same = (*e.dictionary())[static_cast<size_t>(e.codes_data()[r])] ==
+                   (*a.dictionary())[static_cast<size_t>(a.codes_data()[r])];
+            break;
+        }
+      }
+      if (!same) {
+        return ::testing::AssertionFailure()
+               << "column " << expected->schema()->field(c).name << " row "
+               << r << ": " << test::CellStr(e, r) << " vs "
+               << test::CellStr(a, r);
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Deletes a temp run when the test ends, passed or not.
+struct RemoveOnExit {
+  std::string path;
+  ~RemoveOnExit() { std::remove(path.c_str()); }
+};
+
+TEST(TempRunTest, SpillStreamRoundTripsEveryTypeBitForBit) {
+  auto t = EdgeCaseTable(1000, 51);
+  TableChunkStream stream(t, 37);
+  RemoveOnExit run{SpillStreamToFile(&stream).ValueOrDie()};
+  for (bool use_mmap : {false, true}) {
+    SCOPED_TRACE(use_mmap);
+    io::BcfReadOptions ropts;
+    ropts.use_mmap = use_mmap;
+    auto reader = io::BcfReader::Open(run.path, ropts).ValueOrDie();
+    EXPECT_TRUE(SameBits(t, reader->ReadAll().ValueOrDie()));
+  }
+}
+
+TEST(TempRunTest, ExternalSortRunRoundTripsEveryTypeBitForBit) {
+  auto t = EdgeCaseTable(1000, 52);
+  const std::vector<kern::SortKey> keys = {{"key", true}};
+  auto sorted = kern::SortTable(t, keys).ValueOrDie();
+  // The k-way merge assembles categoricals as their strings.
+  auto cat = sorted->GetColumn("cat").ValueOrDie();
+  col::StringBuilder cat_strings;
+  for (int64_t i = 0; i < cat->length(); ++i) {
+    cat_strings.AppendMaybe(
+        cat->IsValid(i) ? (*cat->dictionary())[static_cast<size_t>(
+                              cat->codes_data()[i])]
+                        : std::string(),
+        cat->IsValid(i));
+  }
+  auto merged =
+      sorted->SetColumn("cat", cat_strings.Finish().ValueOrDie()).ValueOrDie();
+  // 100 rows per run goes through the merge; 100000 is a single run.
+  for (int64_t run_rows : {100, 100000}) {
+    SCOPED_TRACE(run_rows);
+    TableChunkStream stream(t, 37);
+    RemoveOnExit run{
+        ExternalSortToFile(&stream, keys, {}, run_rows).ValueOrDie()};
+    auto reader = io::BcfReader::Open(run.path).ValueOrDie();
+    EXPECT_TRUE(SameBits(run_rows < t->num_rows() ? merged : sorted,
+                         reader->ReadAll().ValueOrDie()));
+  }
+}
+
+TEST(TempRunTest, MappedMaterializationRoundTripsEveryTypeBitForBit) {
+  auto t = EdgeCaseTable(1000, 53);
+  for (int workers : {1, 3}) {
+    SCOPED_TRACE(workers);
+    TableChunkStream stream(t, 37);
+    MaterializeOptions options;
+    options.compact_workers = workers;
+    // An inline limit of 0 forces both passes: spill, then compaction.
+    auto mapped = MaterializeStreamMapped(&stream, 0, options).ValueOrDie();
+    EXPECT_TRUE(SameBits(t, mapped));
+  }
+}
+
+TEST(TempRunTest, SpillFramesRoundTripEveryTypeBitForBit) {
+  auto t = EdgeCaseTable(1000, 54);
+  auto store = SpillFrameStore::Create(1).ValueOrDie();
+  TableChunkStream stream(t, 37);
+  while (true) {
+    auto chunk = stream.Next().ValueOrDie();
+    if (chunk == nullptr) break;
+    ASSERT_OK(store->Append(0, chunk));
+  }
+  auto frames = store->ReadPartition(0).ValueOrDie();
+  EXPECT_TRUE(SameBits(t, col::ConcatTables(frames).ValueOrDie()));
+}
+
+/// A temp run holds no DICT or DELTA page for strings or int64: through an
+/// mmap reader every page is served zero-copy, so reading the run adds to
+/// io.bcf.bytes_mapped and nothing to io.bcf.bytes_read.
+TEST(TempRunTest, RunsWithoutCategoricalsReadBackFullyMapped) {
+  obs::Counter* bytes_read =
+      obs::MetricsRegistry::Global().counter("io.bcf.bytes_read");
+  obs::Counter* bytes_mapped =
+      obs::MetricsRegistry::Global().counter("io.bcf.bytes_mapped");
+  auto t = EdgeCaseTable(5000, 55)->DropColumns({"cat"}).ValueOrDie();
+  const std::vector<kern::SortKey> keys = {{"key", true}};
+  TableChunkStream spill_input(t, 1000);
+  RemoveOnExit spilled{SpillStreamToFile(&spill_input).ValueOrDie()};
+  TableChunkStream sort_input(t, 1000);
+  RemoveOnExit sorted{
+      ExternalSortToFile(&sort_input, keys, {}, 1500).ValueOrDie()};
+  const std::pair<std::string, TablePtr> runs[] = {
+      {spilled.path, t}, {sorted.path, kern::SortTable(t, keys).ValueOrDie()}};
+  for (const auto& [path, expected] : runs) {
+    io::BcfReadOptions ropts;
+    ropts.use_mmap = true;
+    auto reader = io::BcfReader::Open(path, ropts).ValueOrDie();
+    if (!reader->mmap_active()) {
+      GTEST_SKIP() << "mmap disabled by BENTO_BCF_MMAP";
+    }
+    const uint64_t read_before = bytes_read->value();
+    const uint64_t mapped_before = bytes_mapped->value();
+    auto back = reader->ReadAll().ValueOrDie();
+    EXPECT_EQ(bytes_read->value(), read_before);
+    EXPECT_GT(bytes_mapped->value(), mapped_before);
+    EXPECT_TRUE(SameBits(expected, back));
+  }
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "util/json.h"
 #include "util/random.h"
@@ -127,6 +132,57 @@ TEST(StringUtilTest, FormatDoubleRoundTrips) {
     EXPECT_DOUBLE_EQ(ParseDouble(FormatDouble(v)).ValueOrDie(), v);
   }
   EXPECT_EQ(FormatDouble(std::nan("")), "nan");
+}
+
+/// The original FormatDouble: a %g search over precisions 1..17. CSV
+/// output, ValueToString and get_dummies column names depend on its exact
+/// text, so the production version must match it byte for byte.
+std::string FormatDoubleOracle(double v) {
+  if (std::isnan(v)) return "nan";
+  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
+  char buf[64];
+  for (int prec = 1; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    double back = 0.0;
+    std::from_chars(buf, buf + std::strlen(buf), back);
+    if (back == v) break;
+  }
+  return buf;
+}
+
+double FromBits(uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+TEST(StringUtilTest, FormatDoubleMatchesPrecisionSearch) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {
+      0.0, -0.0, kInf, -kInf, std::nan(""), 0.1, 0.3, 1.0 / 3.0, 100.0,
+      1200.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+      2.2250738585072014e-308, std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(), 9007199254740993.0,
+      1.2345678901234568e+20, 1e23, 6.02e23};
+  for (int e = -1074; e <= 1023; ++e) values.push_back(std::ldexp(1.0, e));
+  Rng rng(20261020);
+  for (int i = 0; i < 100000; ++i) values.push_back(FromBits(rng.Next()));
+  // Subnormals: exponent bits zero, random mantissa.
+  for (int i = 0; i < 10000; ++i) {
+    values.push_back(FromBits(rng.Next() & 0x800FFFFFFFFFFFFFULL));
+  }
+  // Zone-map bounds: one ulp either side of integers and decimals, as
+  // BcfWriter::Finish writes them.
+  for (int i = 0; i < 20000; ++i) {
+    const double base =
+        i % 2 == 0 ? static_cast<double>(rng.UniformInt(-1000000, 1000000))
+                   : rng.UniformDouble(-1e6, 1e6);
+    values.push_back(std::nextafter(base, -kInf));
+    values.push_back(std::nextafter(base, kInf));
+  }
+  for (double v : values) {
+    ASSERT_EQ(FormatDouble(v), FormatDoubleOracle(v)) << std::hexfloat << v;
+  }
 }
 
 TEST(StringUtilTest, HumanBytes) {
